@@ -55,36 +55,37 @@ Cycles RunLoginStorm(ServiceDomain domain, int users, int sessions_per_user) {
 
 int main(int argc, char** argv) {
   using namespace mks;
-  int kUsers = 16;
-  int kSessions = 8;
+  int users = 16;
+  int sessions = 8;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--users" && i + 1 < argc) {
-      kUsers = std::atoi(argv[++i]);
+      users = std::atoi(argv[++i]);
     } else if (arg == "--sessions" && i + 1 < argc) {
-      kSessions = std::atoi(argv[++i]);
+      sessions = std::atoi(argv[++i]);
     }
   }
-  if (kUsers <= 0 || kSessions <= 0) {
+  if (users <= 0 || sessions <= 0) {
     std::fprintf(stderr, "usage: %s [--users N] [--sessions N]\n", argv[0]);
     return 1;
   }
   std::printf("=== P3: Answering service, in-kernel vs user-domain ===\n\n");
-  const Cycles in_kernel = RunLoginStorm(ServiceDomain::kInKernel, kUsers, kSessions);
-  const Cycles user_domain = RunLoginStorm(ServiceDomain::kUserDomain, kUsers, kSessions);
+  const Cycles in_kernel = RunLoginStorm(ServiceDomain::kInKernel, users, sessions);
+  const Cycles user_domain = RunLoginStorm(ServiceDomain::kUserDomain, users, sessions);
   const double per_login_kernel =
-      static_cast<double>(in_kernel) / (kUsers * kSessions);
+      static_cast<double>(in_kernel) / (users * sessions);
   const double per_login_user =
-      static_cast<double>(user_domain) / (kUsers * kSessions);
+      static_cast<double>(user_domain) / (users * sessions);
   const double slowdown = 100.0 * (per_login_user / per_login_kernel - 1.0);
-  std::printf("login+logout, %d users x %d sessions:\n", kUsers, kSessions);
+  std::printf("login+logout, %d users x %d sessions:\n", users, sessions);
   std::printf("  in-kernel (1973):    %12.0f sim cycles/session\n", per_login_kernel);
   std::printf("  user-domain (redesign): %9.0f sim cycles/session\n", per_login_user);
   std::printf("  slowdown: %.1f%%   (paper: \"about 3%% slower\")\n\n", slowdown);
   const bool shape_ok = slowdown > 0.0 && slowdown < 15.0;
   EmitJson(JsonLine("answering")
-               .Field("users", uint64_t{kUsers})
-               .Field("sessions", uint64_t{kSessions})
+               // Both counts were checked positive above, so the casts are exact.
+               .Field("users", static_cast<uint64_t>(users))
+               .Field("sessions", static_cast<uint64_t>(sessions))
                .Field("sim_cycles", in_kernel + user_domain)
                .Field("cyc_per_session_kernel", per_login_kernel)
                .Field("cyc_per_session_user", per_login_user)

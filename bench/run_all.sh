@@ -56,6 +56,14 @@ for src in "${ROOT}"/bench/bench_perf_*.cc; do
   echo "${output}" | grep '^{' >> "${OUT}" || true
 done
 
+# The repository's own size census (lines, gate entry points, config fields),
+# so compare_bench.py flags growth in it like any other cost.
+echo "--- self_census"
+if ! python3 "${ROOT}/bench/self_census.py" "${ROOT}" >> "${OUT}"; then
+  echo "FAILED: self_census" >&2
+  failures=$((failures + 1))
+fi
+
 # A result row that advanced virtual time but reports zero simulated
 # throughput means the host-throughput wiring is broken (the PR 6 eventcounts
 # row slipped through exactly this way before sim_cycles_advanced existed).

@@ -27,19 +27,13 @@ AnsweringService::AnsweringService(Kernel* kernel, Authenticator* auth, ServiceD
       domain_(domain),
       cfg_(config),
       walker_(&kernel->gates()) {
-  size_t shard_count = 1;
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    shard_count = cfg_.shards != 0 ? cfg_.shards : kernel->ctx().smp.count();
-  }
-  const LockPolicyConfig table_policy{
-      cfg_.table_lock_policy, cfg_.table_line_transfer_cost,
-      cfg_.table_anderson_slots != 0 ? cfg_.table_anderson_slots
-                                     : kernel->ctx().smp.count()};
+  const uint16_t cpus = kernel->ctx().smp.count();
+  const size_t shard_count = cfg_.table_mode == SessionTableMode::kSharded ? cpus : 1;
+  const LockPolicyConfig table_policy{cfg_.table_lock_policy, cfg_.table_line_transfer_cost,
+                                      cpus};
   for (size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
-    if (cfg_.table_lock_policy != LockPolicy::kTestAndSet) {
-      shard->lock.Configure(table_policy);
-    }
+    shard->lock.Configure(table_policy);
     shards_.push_back(std::move(shard));
   }
   skel_rmi_.Init(&kernel->ctx(), "answering.skel", ProfDomain::kSessionSetup,
@@ -77,22 +71,13 @@ void AnsweringService::ChargeTableWork() const {
 
 AnsweringService::LockWindow AnsweringService::LockTable(SimSpinLock& lock) {
   // Same accounting as every scheduler-lock site: acquire at the executing
-  // CPU's local virtual time; split the wait into the gap to the holder's
-  // release (lock-spin) and the grant's coherence traffic (lock-handoff).
+  // CPU's local virtual time and charge the wait through ChargeLockWait.
   LockWindow window;
   KernelContext& kctx = kernel_->ctx();
   window.lnow = kctx.LocalNow();
   window.spin = lock.Acquire(window.lnow, kctx.current_cpu);
   if (window.spin > 0) {
-    const Cycles handoff = std::min(lock.last_acquire_handoff(), window.spin);
-    if (window.spin > handoff) {
-      Prof::Scope wait(&kctx.prof, ProfDomain::kLockSpin);
-      kctx.cost.Charge(CodeStyle::kOptimized, window.spin - handoff);
-    }
-    if (handoff > 0) {
-      Prof::Scope grant(&kctx.prof, ProfDomain::kLockHandoff);
-      kctx.cost.Charge(CodeStyle::kOptimized, handoff);
-    }
+    ChargeLockWait(kctx.cost, &kctx.prof, window.spin, lock.last_acquire_handoff());
     kctx.metrics.Inc(id_table_spin_cycles_, window.spin);
   }
   window.locked = true;

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <sstream>
 
+#include "src/sim/prof.h"
+
 namespace mks {
 
 using namespace baseline_modules;
@@ -54,12 +56,7 @@ MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
       id_lock_spin_cycles_(metrics_.Intern("baseline.lock_spin_cycles")),
       id_lock_contended_(metrics_.Intern("baseline.lock_contended")) {
   trace_.Enable(config.cpu_count, config.trace);
-  global_lock_.ConfigureTicket(config.ticket_lock, config.ticket_handoff_cost);
-  if (config.lock_policy != LockPolicy::kTestAndSet) {
-    global_lock_.Configure(
-        {config.lock_policy, config.lock_transfer_cost,
-         config.anderson_slots != 0 ? config.anderson_slots : config.cpu_count});
-  }
+  global_lock_.Configure({config.lock_policy, config.lock_transfer_cost, config.cpu_count});
   ev_lock_spin_ = trace_.InternEvent("lock.spin");
   ev_fault_service_ = trace_.InternEvent("fault.page_service");
   hist_lock_spin_ = metrics_.InternHistogram("lock.spin_cycles");
@@ -380,7 +377,7 @@ void MonolithicSupervisor::AcquireGlobalLock() {
   const Cycles spin_begin = trace_.Begin();
   const Cycles spin = global_lock_.Acquire(LocalNow(), current_cpu_);
   if (spin > 0) {
-    cost_.Charge(CodeStyle::kOptimized, spin);
+    ChargeLockWait(cost_, /*prof=*/nullptr, spin, global_lock_.last_acquire_handoff());
     metrics_.Inc(id_lock_spin_cycles_, spin);
     metrics_.Inc(id_lock_contended_);
     trace_.CloseSpan(spin_begin, ev_lock_spin_, current_cpu_, 0, hist_lock_spin_);

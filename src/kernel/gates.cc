@@ -18,11 +18,7 @@ KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
       id_user_awaits_(ctx->metrics.Intern("gates.user_awaits")),
       id_upward_signals_(ctx->metrics.Intern("gates.upward_signals")),
       id_locked_descriptor_waits_(ctx->metrics.Intern("gates.locked_descriptor_waits")),
-      id_read_gate_ops_(ctx->metrics.Intern("gates.read_ops")),
-      id_write_gate_ops_(ctx->metrics.Intern("gates.write_ops")),
       ev_gate_call_(ctx->trace.InternEvent("gate.call")),
-      ev_gate_read_(ctx->trace.InternEvent("gate.read")),
-      ev_gate_write_(ctx->trace.InternEvent("gate.write")),
       ev_reference_(ctx->trace.InternEvent("gate.reference")),
       ev_locked_park_(ctx->trace.InternEvent("fault.locked_park")),
       hist_reference_(ctx->metrics.InternHistogram("gate.reference_cycles")) {}

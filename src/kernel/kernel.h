@@ -61,14 +61,11 @@ struct KernelConfig {
   // Handoff-traffic policy for the scheduler locks (global ready-list lock
   // and each sharded run-queue lock): how much interconnect traffic one
   // contended lock handoff generates, priced in connect_cost line transfers.
-  // kTestAndSet (default) charges nothing — byte-identical to the
-  // pre-policy lock; kTicket charges each waiter one transfer per handoff it
-  // sat through (the O(waiters) now-serving broadcast); kAnderson and kMcs
-  // charge exactly one transfer per handoff (per-waiter spin lines).
+  // kTestAndSet (default) charges only the wait; kTicket charges each waiter
+  // one transfer per handoff it sat through (the O(waiters) now-serving
+  // broadcast); kAnderson (one array slot per CPU) and kMcs charge exactly
+  // one transfer per handoff (per-waiter spin lines).
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
-  // kAnderson's spin-array size; 0 = cpu_count.  More distinct CPUs than
-  // slots aborts loudly (the real lock would wrap its index silently).
-  uint16_t anderson_slots = 0;
   // Read-mostly synchronization for the naming surface: the directory
   // hierarchy and the known segment tables each sit behind one SimSharedLock
   // whose read-side protocol this selects.  kOff (default) leaves the naming

@@ -38,13 +38,11 @@ UserProcessManager::UserProcessManager(KernelContext* ctx, CoreSegmentManager* c
 void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
   dcfg_ = config;
   // One policy knob covers every scheduler lock: the handoff charge is one
-  // (Anderson/MCS) or one-per-waiter (ticket) line transfers at connect_cost.
-  const LockPolicyConfig lock_policy{
-      dcfg_.lock_policy, dcfg_.connect_cost,
-      dcfg_.anderson_slots != 0 ? dcfg_.anderson_slots : ctx_->smp.count()};
-  if (dcfg_.lock_policy != LockPolicy::kTestAndSet) {
-    list_lock_.Configure(lock_policy);
-  }
+  // (Anderson/MCS) or one-per-waiter (ticket) line transfers at connect_cost;
+  // Anderson gets one array slot per CPU.
+  const LockPolicyConfig lock_policy{dcfg_.lock_policy, dcfg_.connect_cost,
+                                     ctx_->smp.count()};
+  ready_list_.lock.Configure(lock_policy);
   if (dcfg_.sharded_runqueues) {
     rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, dcfg_.connect_cost,
                                         &ctx_->cost, &ctx_->metrics, &ctx_->trace,
@@ -310,32 +308,16 @@ void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // the dispatch decision and queue manipulation (kDispatchHold), which is
   // what serializes dispatch-rate-bound workloads.
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
-  const Cycles spin = list_lock_.Acquire(lnow, cpu);
-  Cycles held = spin;
-  if (spin > 0) {
-    // Attribution splits the wait into the gap to the holder's release
-    // (lock-spin) and the grant's coherence traffic (lock-handoff); the two
-    // optimized charges advance the clock exactly as the single one did.
-    const Cycles handoff = std::min(list_lock_.last_acquire_handoff(), spin);
-    if (spin > handoff) {
-      Prof::Scope wait(&ctx_->prof, ProfDomain::kLockSpin);
-      ctx_->cost.Charge(CodeStyle::kOptimized, spin - handoff);
-    }
-    if (handoff > 0) {
-      Prof::Scope grant(&ctx_->prof, ProfDomain::kLockHandoff);
-      ctx_->cost.Charge(CodeStyle::kOptimized, handoff);
-    }
-    ctx_->metrics.Inc(id_list_lock_spin_cycles_, spin);
+  const LockedLine::Touch t =
+      ready_list_.Acquire(cpu, lnow, dcfg_.connect_cost, ctx_->cost, &ctx_->prof);
+  if (t.spin > 0) {
+    ctx_->metrics.Inc(id_list_lock_spin_cycles_, t.spin);
   }
-  if (dcfg_.connect_cost > 0 && list_owner_ != cpu && list_owner_ != kNoCpu) {
-    Prof::Scope bounce(&ctx_->prof, ProfDomain::kLockHandoff);
-    ctx_->cost.Charge(CodeStyle::kOptimized, dcfg_.connect_cost);
-    held += dcfg_.connect_cost;
+  if (t.transfer > 0) {
     ctx_->metrics.Inc(id_list_transfers_);
-    ctx_->metrics.Inc(id_list_transfer_cycles_, dcfg_.connect_cost);
+    ctx_->metrics.Inc(id_list_transfer_cycles_, t.transfer);
   }
-  list_owner_ = cpu;
-  list_lock_.Release(lnow + held + kDispatchHold);
+  ready_list_.lock.Release(lnow + t.held() + kDispatchHold);
 }
 
 void UserProcessManager::EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow) {
@@ -664,8 +646,8 @@ void UserProcessManager::DumpStallAndAbort(uint64_t pass) {
 
   std::fprintf(stderr, "---- scheduler locks ----\n");
   std::fprintf(stderr, "ready-list lock: %s, line owner cpu %d\n",
-               list_lock_.held() ? "HELD" : "free",
-               list_owner_ == kNoCpu ? -1 : static_cast<int>(list_owner_));
+               ready_list_.lock.held() ? "HELD" : "free",
+               ready_list_.owner == kNoCpu ? -1 : static_cast<int>(ready_list_.owner));
   if (rq_ != nullptr) {
     for (uint16_t k = 0; k < rq_->count(); ++k) {
       const uint16_t owner = rq_->line_owner(k);

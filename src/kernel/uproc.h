@@ -70,7 +70,6 @@ struct DispatchConfig {
   // lock and, in sharded mode, each run-queue shard's lock); contended
   // handoffs are priced in units of connect_cost line transfers.
   LockPolicy lock_policy = LockPolicy::kTestAndSet;
-  uint16_t anderson_slots = 0;  // kAnderson array size; 0 = cpu_count
 };
 
 class UserProcessManager {
@@ -120,7 +119,7 @@ class UserProcessManager {
 
   // The modelled global ready-list lock (contended only in legacy dispatch
   // mode with interconnect costs on), for lock-policy sweeps.
-  const SimSpinLock& list_lock() const { return list_lock_; }
+  const SimSpinLock& list_lock() const { return ready_list_.lock; }
 
   // Runs the two-level scheduler until every process is done/aborted or
   // `max_passes` scheduler passes elapse.  Returns kOk on quiescence.
@@ -226,8 +225,7 @@ class UserProcessManager {
   std::unordered_map<ProcessId, Process> procs_;
   DispatchConfig dcfg_;
   std::unique_ptr<RunQueueSet> rq_;
-  SimSpinLock list_lock_;        // the modelled global ready-list lock
-  uint16_t list_owner_ = kNoCpu; // CPU that last touched the list's line
+  LockedLine ready_list_;  // the modelled global ready-list lock and line
   bool slab_ = false;
   std::vector<FreeSlot> free_slots_;
   uint32_t next_pid_ = 1;

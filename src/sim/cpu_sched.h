@@ -188,6 +188,45 @@ class CpuInterleave {
   std::vector<uint16_t> tree_;
 };
 
+// One shared cache line under one SimSpinLock: the global ready list, or a
+// run-queue shard.  Acquire takes the lock from `cpu` at local time `lnow`
+// and charges the wait through ChargeLockWait; when the line last lived on
+// another CPU it also charges one `connect_cost` transfer as lock-handoff.
+// The caller releases `lock` at `lnow + held()` plus its own hold time.
+struct LockedLine {
+  static constexpr uint16_t kNoCpu = UINT16_MAX;
+
+  struct Touch {
+    Cycles spin = 0;      // lock wait: the gap plus the grant's traffic
+    Cycles transfer = 0;  // line bounce: 0 or connect_cost
+    Cycles held() const { return spin + transfer; }
+  };
+
+  // With `trace` set, a contended wait is also recorded as a `spin_event`
+  // span (proc = cpu).
+  Touch Acquire(uint16_t cpu, Cycles lnow, Cycles connect_cost, CostModel& cost, Prof* prof,
+                Tracer* trace = nullptr, TraceEventId spin_event = 0) {
+    Touch t;
+    const Cycles spin_begin = trace != nullptr ? trace->Begin() : 0;
+    t.spin = lock.Acquire(lnow, cpu);
+    if (t.spin > 0) {
+      ChargeLockWait(cost, prof, t.spin, lock.last_acquire_handoff());
+      if (trace != nullptr) {
+        trace->CloseSpan(spin_begin, spin_event, cpu);
+      }
+    }
+    if (connect_cost > 0 && owner != cpu && owner != kNoCpu) {
+      ChargeLockWait(cost, prof, connect_cost, connect_cost);
+      t.transfer = connect_cost;
+    }
+    owner = cpu;
+    return t;
+  }
+
+  SimSpinLock lock;
+  uint16_t owner = kNoCpu;  // CPU that last touched the line
+};
+
 // Sharded per-CPU run queues with deterministic work stealing.
 //
 // Each CPU owns one FIFO of dispatchable item ids, guarded by its own
@@ -213,7 +252,7 @@ class CpuInterleave {
 // an item's home queue always admits it — only steals need a mask check.
 class RunQueueSet {
  public:
-  static constexpr uint16_t kNoCpu = UINT16_MAX;
+  static constexpr uint16_t kNoCpu = LockedLine::kNoCpu;
 
   RunQueueSet(uint16_t cpu_count, bool steal, Cycles connect_cost, CostModel* cost,
               Metrics* metrics, Tracer* trace,
@@ -244,7 +283,7 @@ class RunQueueSet {
       s.id_pops = metrics->Intern(prefix + ".pops");
       s.id_lock_spin_cycles = metrics->Intern(prefix + ".lock_spin_cycles");
       s.hist_depth = metrics->InternHistogram(prefix + ".depth");
-      s.lock.Configure(lock_policy);
+      s.line.lock.Configure(lock_policy);
       shards_.push_back(std::move(s));
     }
   }
@@ -261,12 +300,13 @@ class RunQueueSet {
   LockTotals AggregateLockTotals() const {
     LockTotals t;
     for (const Shard& s : shards_) {
-      t.acquisitions += s.lock.acquisitions();
-      t.contended += s.lock.contended();
-      t.spin_cycles += s.lock.total_spin();
-      t.handoffs += s.lock.handoffs();
-      t.handoff_cycles += s.lock.handoff_cycles();
-      t.max_queue_depth = std::max(t.max_queue_depth, s.lock.max_queue_depth());
+      const SimSpinLock& lock = s.line.lock;
+      t.acquisitions += lock.acquisitions();
+      t.contended += lock.contended();
+      t.spin_cycles += lock.total_spin();
+      t.handoffs += lock.handoffs();
+      t.handoff_cycles += lock.handoff_cycles();
+      t.max_queue_depth = std::max(t.max_queue_depth, lock.max_queue_depth());
     }
     return t;
   }
@@ -282,8 +322,8 @@ class RunQueueSet {
   uint16_t count() const { return static_cast<uint16_t>(shards_.size()); }
   bool steal_enabled() const { return steal_; }
   size_t depth(uint16_t cpu) const { return shards_[cpu].items.size(); }
-  uint16_t line_owner(uint16_t cpu) const { return shards_[cpu].line_owner; }
-  const SimSpinLock& shard_lock(uint16_t cpu) const { return shards_[cpu].lock; }
+  uint16_t line_owner(uint16_t cpu) const { return shards_[cpu].line.owner; }
+  const SimSpinLock& shard_lock(uint16_t cpu) const { return shards_[cpu].line.lock; }
 
   bool AnyQueued() const {
     for (const Shard& s : shards_) {
@@ -332,7 +372,7 @@ class RunQueueSet {
     s.items.push_back(Item{id, mask});
     metrics_->Inc(s.id_pushes);
     metrics_->Observe(s.hist_depth, s.items.size());
-    s.lock.Release(lnow + held);
+    s.line.lock.Release(lnow + held);
   }
 
   // Takes the front of `cpu`'s own queue; when empty and stealing is on,
@@ -348,7 +388,7 @@ class RunQueueSet {
       out.victim = cpu;
       own.items.pop_front();
       metrics_->Inc(own.id_pops);
-      own.lock.Release(lnow + held);
+      own.line.lock.Release(lnow + held);
       return out;
     }
     if (!steal_) {
@@ -387,11 +427,11 @@ class RunQueueSet {
         metrics_->Inc(id_steals_);
         metrics_->Inc(id_steal_cycles_, held);
         metrics_->Inc(victim.id_pops);
-        victim.lock.Release(lnow + held);
+        victim.line.lock.Release(lnow + held);
         trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
         return out;
       }
-      victim.lock.Release(lnow + held);  // nothing affinity-compatible here
+      victim.line.lock.Release(lnow + held);  // nothing affinity-compatible here
     }
     return out;
   }
@@ -423,49 +463,29 @@ class RunQueueSet {
   };
   struct Shard {
     std::deque<Item> items;
-    SimSpinLock lock;
-    uint16_t line_owner = kNoCpu;
+    LockedLine line;
     MetricId id_pushes = 0;
     MetricId id_pops = 0;
     MetricId id_lock_spin_cycles = 0;
     HistId hist_depth = 0;
   };
 
-  // Acquires a shard's lock from `from_cpu` at local time `lnow`, charging
-  // spin and (when the queue's line lives on another CPU) one connect
-  // transfer.  Returns the cycles charged so far under the lock; the caller
-  // must Release at `lnow + held`.
+  // Acquires a shard's lock from `from_cpu` at local time `lnow` and counts
+  // the charges.  Returns the cycles charged so far under the lock; the
+  // caller must Release at `lnow + held`.
   Cycles TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
-    const Cycles spin_begin = trace_->Begin();
-    const Cycles spin = s.lock.Acquire(lnow, from_cpu);
-    Cycles held = spin;
-    if (spin > 0) {
-      // For attribution the wait splits into the gap to the holder's release
-      // (lock-spin) and the grant's coherence traffic (lock-handoff); the two
-      // optimized charges advance the clock exactly as the single one did.
-      const Cycles handoff = std::min(s.lock.last_acquire_handoff(), spin);
-      if (spin > handoff) {
-        Prof::Scope wait(prof_, ProfDomain::kLockSpin);
-        cost_->Charge(CodeStyle::kOptimized, spin - handoff);
-      }
-      if (handoff > 0) {
-        Prof::Scope grant(prof_, ProfDomain::kLockHandoff);
-        cost_->Charge(CodeStyle::kOptimized, handoff);
-      }
+    const LockedLine::Touch t =
+        s.line.Acquire(from_cpu, lnow, connect_cost_, *cost_, prof_, trace_, ev_lock_spin_);
+    if (t.spin > 0) {
       metrics_->Inc(id_lock_spins_);
-      metrics_->Inc(id_lock_spin_cycles_, spin);
-      metrics_->Inc(s.id_lock_spin_cycles, spin);
-      trace_->CloseSpan(spin_begin, ev_lock_spin_, from_cpu);
+      metrics_->Inc(id_lock_spin_cycles_, t.spin);
+      metrics_->Inc(s.id_lock_spin_cycles, t.spin);
     }
-    if (connect_cost_ > 0 && s.line_owner != from_cpu && s.line_owner != kNoCpu) {
-      Prof::Scope bounce(prof_, ProfDomain::kLockHandoff);
-      cost_->Charge(CodeStyle::kOptimized, connect_cost_);
-      held += connect_cost_;
+    if (t.transfer > 0) {
       metrics_->Inc(id_transfers_);
-      metrics_->Inc(id_transfer_cycles_, connect_cost_);
+      metrics_->Inc(id_transfer_cycles_, t.transfer);
     }
-    s.line_owner = from_cpu;
-    return held;
+    return t.held();
   }
 
   bool steal_;

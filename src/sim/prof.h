@@ -44,6 +44,7 @@
 #ifndef MKS_SIM_PROF_H_
 #define MKS_SIM_PROF_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -345,6 +346,23 @@ class Prof {
   uint64_t stalled_rounds_ = 0;
   uint64_t last_round_stamp_ = ~uint64_t{0};
 };
+
+// Charges one lock wait to `cost` as optimized code: `spin` cycles in all,
+// of which `handoff` (clamped to `spin`) is the grant's coherence traffic.
+// The profiler sees the gap to the holder's release as lock-spin and the
+// traffic as lock-handoff; the two charges advance the clock by exactly
+// `spin`.  Every lock site charges its waits through here.
+inline void ChargeLockWait(CostModel& cost, Prof* prof, Cycles spin, Cycles handoff) {
+  handoff = std::min(handoff, spin);
+  if (spin > handoff) {
+    Prof::Scope wait(prof, ProfDomain::kLockSpin);
+    cost.Charge(CodeStyle::kOptimized, spin - handoff);
+  }
+  if (handoff > 0) {
+    Prof::Scope grant(prof, ProfDomain::kLockHandoff);
+    cost.Charge(CodeStyle::kOptimized, handoff);
+  }
+}
 
 }  // namespace mks
 

@@ -1,7 +1,8 @@
 // Tests for the login-storm machinery (PR 10): concurrent Login/Logout
 // across the CPU pool is bit-identical on double runs at 4 and 16 CPUs,
 // slab-reused process slots leak nothing from their previous life (no bill,
-// no KST bindings), and with every knob off the service's new instruments
+// no KST bindings), the profiler's lock domains add up to exactly what the
+// lock sites count, and with every knob off the service's new instruments
 // stay at zero while behavior stays deterministic.
 #include <gtest/gtest.h>
 
@@ -32,20 +33,42 @@ struct StormTrace {
   uint64_t slab_reuses = 0;
   uint64_t skel_hits = 0;
   uint64_t login_p99 = 0;
+  Cycles lock_attributed = 0;  // profiler lock-spin + lock-handoff totals
+  Cycles lock_counted = 0;     // the lock sites' own spin and traffic counters
+  Cycles runq_lock_cycles = 0;
 };
 
 bool operator==(const StormTrace& a, const StormTrace& b) {
   return a.ok == b.ok && a.final_now == b.final_now && a.makespan == b.makespan &&
          a.logins == b.logins && a.logouts == b.logouts && a.spin == b.spin &&
          a.slab_reuses == b.slab_reuses && a.skel_hits == b.skel_hits &&
-         a.login_p99 == b.login_p99;
+         a.login_p99 == b.login_p99 && a.lock_attributed == b.lock_attributed &&
+         a.lock_counted == b.lock_counted;
+}
+
+// Every cycle a lock site charges through ChargeLockWait, as the sites count
+// it themselves: the scheduler's ready list and run-queue shards (spin plus
+// line bounces), the session tables, and the read-mostly sections.
+Cycles LockSiteCycles(const Metrics& metrics) {
+  Cycles sum = 0;
+  for (const char* name :
+       {"sched.list_lock_spin_cycles", "sched.list_transfer_cycles", "runq.lock_spin_cycles",
+        "runq.transfer_cycles", "answering.session_lock_spin_cycles", "dir.read_spin_cycles",
+        "dir.write_spin_cycles", "ksm.read_spin_cycles", "ksm.write_spin_cycles",
+        "answering.skel.read_spin_cycles", "answering.skel.write_spin_cycles"}) {
+    sum += metrics.Get(name);
+  }
+  return sum;
 }
 
 // A miniature of bench_perf_login_storm: every session op runs in its own
-// anchored window on the furthest-behind CPU, all concurrency knobs on.
-StormTrace RunStorm(uint16_t cpus, int users) {
+// anchored (and profiled) window on the furthest-behind CPU, all session
+// concurrency knobs on.  `config` carries any further kernel knobs.  With
+// `run_sessions`, every session gets a short program and the pool runs
+// them to completion after each wave of logins.
+StormTrace RunStorm(uint16_t cpus, int users, KernelConfig config = KernelConfig{},
+                    bool run_sessions = false) {
   StormTrace out;
-  KernelConfig config;
   config.cpu_count = cpus;
   config.connect_cost = 400;
   config.trace.enabled = true;
@@ -80,6 +103,7 @@ StormTrace RunStorm(uint16_t cpus, int users) {
     kctx.current_cpu = cpu;
     kctx.trace.SetCpu(cpu);
     kctx.AnchorWindow();
+    Prof::Window window(&kctx.prof, cpu, ProfDomain::kSessionSetup);
     const Cycles t0 = kernel.clock().now();
     if (!op()) {
       return false;
@@ -93,20 +117,42 @@ StormTrace RunStorm(uint16_t cpus, int users) {
       return false;
     }
     pid_of[static_cast<size_t>(u)] = *pid;
+    return !run_sessions ||
+           kernel.processes().SetProgram(*pid, {UserOp::Compute(200), UserOp::Compute(200)}).ok();
+  };
+  auto run_pool = [&] {
+    if (!run_sessions) {
+      return true;
+    }
+    // Reports work pending: the service daemons hold processes that never
+    // get a program.  Every session's program must have finished.
+    (void)kernel.processes().RunUntilQuiescent(100000);
+    for (ProcessId pid : pid_of) {
+      if (kernel.processes().state(pid) != ProcState::kDone) {
+        return false;
+      }
+    }
     return true;
   };
   auto logout = [&](int u) { return service.Logout(pid_of[static_cast<size_t>(u)]).ok(); };
 
   // Storm front, one churn wave, drain.
+  const Cycles setup_lock_cycles = LockSiteCycles(kernel.metrics());
   for (int u = 0; u < users; ++u) {
     if (!drive([&] { return login(u); })) {
       return out;
     }
   }
+  if (!run_pool()) {
+    return out;
+  }
   for (int u = 0; u < users; ++u) {
     if (!drive([&] { return logout(u); }) || !drive([&] { return login(u); })) {
       return out;
     }
+  }
+  if (!run_pool()) {
+    return out;
   }
   for (int u = 0; u < users; ++u) {
     if (!drive([&] { return logout(u); })) {
@@ -126,6 +172,12 @@ StormTrace RunStorm(uint16_t cpus, int users) {
   out.slab_reuses = metrics.Get("uproc.slab_reuses");
   out.skel_hits = metrics.Get("answering.skel_hits");
   out.login_p99 = metrics.HistPercentile("answering.login_cycles", 0.99);
+  const auto domains = kctx.prof.DomainTotals();
+  out.lock_attributed = domains[static_cast<size_t>(ProfDomain::kLockSpin)] +
+                        domains[static_cast<size_t>(ProfDomain::kLockHandoff)];
+  out.lock_counted = LockSiteCycles(metrics) - setup_lock_cycles;
+  out.runq_lock_cycles =
+      metrics.Get("runq.lock_spin_cycles") + metrics.Get("runq.transfer_cycles");
   if (!kernel.Shutdown().ok()) {
     return out;
   }
@@ -149,6 +201,22 @@ TEST(LoginStorm, DoubleRunBitIdenticalAt16Cpus) {
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_TRUE(a == b);
+}
+
+// The lock-spin/lock-handoff split lives in one function, ChargeLockWait;
+// every lock site funnels its waits through it.  So the profiler's two lock
+// domains must add up to exactly what the sites count, cycle for cycle.
+TEST(LoginStorm, LockAttributionEqualsTheLockSiteCounters) {
+  KernelConfig config;
+  config.profile.enabled = true;
+  config.sharded_runqueues = true;
+  config.steal = true;
+  config.lock_policy = LockPolicy::kMcs;
+  const StormTrace t = RunStorm(4, 24, config, /*run_sessions=*/true);
+  ASSERT_TRUE(t.ok);
+  EXPECT_GT(t.spin, 0u);  // the session tables contended
+  EXPECT_GT(t.runq_lock_cycles, 0u);  // and so did the run queues
+  EXPECT_EQ(t.lock_attributed, t.lock_counted);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,13 +312,12 @@ TEST(LoginStorm, AccountingSurvivesSlabReuse) {
 // Knobs off: the seed path, byte for byte.
 // ---------------------------------------------------------------------------
 
-Cycles RunSerialSessions(const AnsweringConfig& acfg, uint64_t* spin, uint64_t* skel,
-                         uint64_t* slab) {
+Cycles RunSerialSessions(uint64_t* spin, uint64_t* skel, uint64_t* slab) {
   Kernel kernel{KernelConfig{}};
   EXPECT_TRUE(kernel.Boot().ok());
   Authenticator auth(&kernel);
   EXPECT_TRUE(auth.Init().ok());
-  AnsweringService service(&kernel, &auth, ServiceDomain::kUserDomain, acfg);
+  AnsweringService service(&kernel, &auth);
   for (int u = 0; u < 4; ++u) {
     EXPECT_TRUE(
         auth.Enroll(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(2, 0)).ok());
@@ -274,21 +341,15 @@ Cycles RunSerialSessions(const AnsweringConfig& acfg, uint64_t* spin, uint64_t* 
 
 TEST(LoginStorm, KnobsOffChargesNothingAndStaysDeterministic) {
   uint64_t spin = 0, skel = 0, slab = 0;
-  const Cycles first = RunSerialSessions(AnsweringConfig{}, &spin, &skel, &slab);
+  const Cycles first = RunSerialSessions(&spin, &skel, &slab);
   // The seed path never touches a table lock, the skeleton cache, or the
   // process slab: every new instrument reads zero.
   EXPECT_EQ(spin, 0u);
   EXPECT_EQ(skel, 0u);
   EXPECT_EQ(slab, 0u);
   // Identical runs land on the identical final clock.
-  const Cycles second = RunSerialSessions(AnsweringConfig{}, &spin, &skel, &slab);
+  const Cycles second = RunSerialSessions(&spin, &skel, &slab);
   EXPECT_EQ(first, second);
-  // The phase counters are observation only: explicitly asking for one shard
-  // (the serial table's shape) must not move the clock either.
-  AnsweringConfig one_shard;
-  one_shard.shards = 1;
-  const Cycles shaped = RunSerialSessions(one_shard, &spin, &skel, &slab);
-  EXPECT_EQ(first, shaped);
 }
 
 }  // namespace
