@@ -76,7 +76,7 @@ void BM_BaselineFirstReference(benchmark::State& state) {
   Cycles cycles = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const std::string symbol = "s" + std::to_string(i++);
+    const std::string symbol = Numbered("s", i++);
     (void)sup.CreatePath(">lib>" + symbol);
     state.ResumeTiming();
     const Cycles before = sup.clock().now();
@@ -98,7 +98,7 @@ void BM_ExtractedFirstReference(benchmark::State& state) {
   Cycles cycles = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const std::string symbol = "s" + std::to_string(i++);
+    const std::string symbol = Numbered("s", i++);
     (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, BenchWorldAcl(), Label::SystemLow());
     state.ResumeTiming();
     const Cycles before = fx.kernel.clock().now();
@@ -138,7 +138,7 @@ LinkerSimCycles MeasureSimCycles(int snap_iters, int first_refs) {
     r.snap_baseline = static_cast<double>(sup.clock().now() - before) / snap_iters;
     Cycles first = 0;
     for (int i = 0; i < first_refs; ++i) {
-      const std::string symbol = "f" + std::to_string(i);
+      const std::string symbol = Numbered("f", i);
       (void)sup.CreatePath(">lib>" + symbol);
       const Cycles b2 = sup.clock().now();
       (void)sup.LinkSnap(*pid, symbol, ">lib>" + symbol);
@@ -164,7 +164,7 @@ LinkerSimCycles MeasureSimCycles(int snap_iters, int first_refs) {
     r.snap_extracted = static_cast<double>(fx.kernel.clock().now() - before) / snap_iters;
     Cycles first = 0;
     for (int i = 0; i < first_refs; ++i) {
-      const std::string symbol = "f" + std::to_string(i);
+      const std::string symbol = Numbered("f", i);
       (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, BenchWorldAcl(), Label::SystemLow());
       const Cycles b2 = fx.kernel.clock().now();
       (void)linker.Snap(*fx.ctx, symbol);

@@ -58,7 +58,7 @@ void BM_BaselineBind(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     const Cycles before = sup.clock().now();
-    benchmark::DoNotOptimize(sup.NameBind(*pid, "n" + std::to_string(i++), SegmentUid(5)));
+    benchmark::DoNotOptimize(sup.NameBind(*pid, Numbered("n", i++), SegmentUid(5)));
     cycles += sup.clock().now() - before;
   }
   state.counters["sim_cycles"] =
@@ -73,7 +73,7 @@ void BM_ExtractedBind(benchmark::State& state) {
   int i = 0;
   for (auto _ : state) {
     const Cycles before = fx.kernel.clock().now();
-    benchmark::DoNotOptimize(names.Bind(fx.pid, "n" + std::to_string(i++), Segno(70)));
+    benchmark::DoNotOptimize(names.Bind(fx.pid, Numbered("n", i++), Segno(70)));
     cycles += fx.kernel.clock().now() - before;
   }
   state.counters["sim_cycles"] =
@@ -106,7 +106,7 @@ NameSimCycles MeasureSimCycles(int iters) {
     r.lookup_baseline = static_cast<double>(sup.clock().now() - before) / iters;
     before = sup.clock().now();
     for (int i = 0; i < iters; ++i) {
-      (void)sup.NameBind(*pid, "b" + std::to_string(i), SegmentUid(5));
+      (void)sup.NameBind(*pid, Numbered("b", i), SegmentUid(5));
     }
     r.bind_baseline = static_cast<double>(sup.clock().now() - before) / iters;
   }
@@ -123,7 +123,7 @@ NameSimCycles MeasureSimCycles(int iters) {
     r.lookup_extracted = static_cast<double>(fx.kernel.clock().now() - before) / iters;
     before = fx.kernel.clock().now();
     for (int i = 0; i < iters; ++i) {
-      (void)names.Bind(fx.pid, "b" + std::to_string(i), Segno(70));
+      (void)names.Bind(fx.pid, Numbered("b", i), Segno(70));
     }
     r.bind_extracted = static_cast<double>(fx.kernel.clock().now() - before) / iters;
   }

@@ -175,7 +175,7 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
     Prof::Window window(&kctx.prof, cpu, ProfDomain::kGate);
     const Cycles t0 = kernel.clock().now();
     if (i % kWritePeriod == kWritePeriod - 1) {
-      const std::string name = "s" + std::to_string(i % kLibSegments);
+      const std::string name = Numbered("s", i % kLibSegments);
       if (!kernel.gates().SetAcl(*procs[cpu], *lib, name, acl).ok()) {
         return out;
       }

@@ -22,6 +22,13 @@ namespace mks {
 // any output — it only converts a livelock into a flight-recorder dump.
 inline constexpr uint64_t kBenchStallRounds = 10000;
 
+// `prefix` followed by `n` ("n" + std::to_string(n) trips GCC 12's
+// -Wrestrict false positive when inlined into a by-value argument).
+inline std::string Numbered(std::string prefix, uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 // Arms the stall watchdog on a bench's config unless the bench chose its own
 // threshold.  Pass every bench KernelConfig through this at the construction
 // site: `Kernel kernel{ArmWatchdog(config)};`.

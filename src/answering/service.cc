@@ -77,7 +77,7 @@ AnsweringService::LockWindow AnsweringService::LockTable(SimSpinLock& lock) {
   window.lnow = kctx.LocalNow();
   window.spin = lock.Acquire(window.lnow, kctx.current_cpu);
   if (window.spin > 0) {
-    ChargeLockWait(kctx.cost, &kctx.prof, window.spin, lock.last_acquire_handoff());
+    ChargeLockWait(kctx.cost, &kctx.scopes, window.spin, lock.last_acquire_handoff());
     kctx.metrics.Inc(id_table_spin_cycles_, window.spin);
   }
   window.locked = true;
@@ -157,8 +157,10 @@ Result<EntryId> AnsweringService::EnsureHome(const Principal& who, const Acl& ho
 Result<ProcessId> AnsweringService::Login(const Principal& who, const std::string& password,
                                           Label label) {
   KernelContext& kctx = kernel_->ctx();
-  Prof::Scope setup(&kctx.prof, ProfDomain::kSessionSetup);
-  const Cycles t_start = kctx.clock.now();
+  // A failed login records no span.
+  ManagerScope setup(&kctx.scopes, ProfDomain::kSessionSetup,
+                     TraceSpan{.event = ev_login_, .arg = kctx.current_cpu, .hist = hist_login_,
+                               .on_end = true});
   // kCoarse is the minimal concurrency-safe table: ONE lock held across the
   // whole login transaction, every session serializing behind it.
   LockWindow coarse{};
@@ -172,7 +174,8 @@ Result<ProcessId> AnsweringService::Login(const Principal& who, const std::strin
     UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
   }
   if (result.ok()) {
-    kctx.trace.CloseSpan(t_start, ev_login_, (*result).value, kctx.current_cpu, hist_login_);
+    setup.set_span_proc((*result).value);
+    setup.EndSpan();
   }
   return result;
 }
@@ -239,8 +242,9 @@ Result<ProcessId> AnsweringService::LoginInner(const Principal& who, const std::
 
 Status AnsweringService::Logout(ProcessId pid) {
   KernelContext& kctx = kernel_->ctx();
-  Prof::Scope setup(&kctx.prof, ProfDomain::kSessionSetup);
-  const Cycles t_start = kctx.clock.now();
+  ManagerScope setup(&kctx.scopes, ProfDomain::kSessionSetup,
+                     TraceSpan{.event = ev_logout_, .proc = pid.value, .arg = kctx.current_cpu,
+                               .hist = hist_logout_, .on_end = true});
   LockWindow coarse{};
   Cycles coarse_t0 = 0;
   if (cfg_.table_mode == SessionTableMode::kCoarse) {
@@ -252,7 +256,7 @@ Status AnsweringService::Logout(ProcessId pid) {
     UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
   }
   if (result.ok()) {
-    kctx.trace.CloseSpan(t_start, ev_logout_, pid.value, kctx.current_cpu, hist_logout_);
+    setup.EndSpan();
   }
   return result;
 }

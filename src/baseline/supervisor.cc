@@ -61,12 +61,12 @@ MonolithicSupervisor::MonolithicSupervisor(const BaselineConfig& config)
   ev_fault_service_ = trace_.InternEvent("fault.page_service");
   hist_lock_spin_ = metrics_.InternHistogram("lock.spin_cycles");
   hist_fault_service_ = metrics_.InternHistogram("fault.service_cycles");
-  m_disk_ = tracker_.Register(kDiskControl);
-  m_dir_ = tracker_.Register(kDirectoryControl);
-  m_as_ = tracker_.Register(kAddressSpaceControl);
-  m_seg_ = tracker_.Register(kSegmentControl);
-  m_page_ = tracker_.Register(kPageControl);
-  m_proc_ = tracker_.Register(kProcessControl);
+  m_disk_ = scopes_.Register(kDiskControl);
+  m_dir_ = scopes_.Register(kDirectoryControl);
+  m_as_ = scopes_.Register(kAddressSpaceControl);
+  m_seg_ = scopes_.Register(kSegmentControl);
+  m_page_ = scopes_.Register(kPageControl);
+  m_proc_ = scopes_.Register(kProcessControl);
 }
 
 MonolithicSupervisor::~MonolithicSupervisor() = default;
@@ -101,7 +101,7 @@ Status MonolithicSupervisor::Boot() {
 // ---------------------------------------------------------------------------
 
 Result<MonolithicSupervisor::BNode*> MonolithicSupervisor::ResolveNode(const std::string& path) {
-  CallTracker::Scope scope(&tracker_, m_dir_);
+  ManagerScope scope(&scopes_, m_dir_);
   BNode* node = &root_;
   std::istringstream stream(path);
   std::string component;
@@ -138,7 +138,7 @@ MonolithicSupervisor::BNode* MonolithicSupervisor::FindNodeByUidIn(BNode* node, 
 }
 
 Result<SegmentUid> MonolithicSupervisor::CreatePath(const std::string& path) {
-  CallTracker::Scope scope(&tracker_, m_dir_);
+  ManagerScope scope(&scopes_, m_dir_);
   const size_t cut = path.find_last_of('>');
   const std::string dir_path = cut == std::string::npos ? "" : path.substr(0, cut);
   const std::string leaf = cut == std::string::npos ? path : path.substr(cut + 1);
@@ -171,7 +171,7 @@ Result<SegmentUid> MonolithicSupervisor::CreatePath(const std::string& path) {
 }
 
 Status MonolithicSupervisor::CreateDirectoryPath(const std::string& path) {
-  CallTracker::Scope scope(&tracker_, m_dir_);
+  ManagerScope scope(&scopes_, m_dir_);
   BNode* node = &root_;
   std::istringstream stream(path);
   std::string component;
@@ -215,7 +215,7 @@ Result<SegmentUid> MonolithicSupervisor::FileFound(const std::string& path) {
 }
 
 Status MonolithicSupervisor::SetQuota(const std::string& dir_path, uint64_t limit) {
-  CallTracker::Scope scope(&tracker_, m_dir_);
+  ManagerScope scope(&scopes_, m_dir_);
   MKS_ASSIGN_OR_RETURN(BNode * node, ResolveNode(dir_path));
   if (!node->is_directory) {
     return Status(Code::kNotADirectory, dir_path);
@@ -263,7 +263,7 @@ Result<uint32_t> MonolithicSupervisor::EnsureActive(BNode* node) {
 }
 
 Result<uint32_t> MonolithicSupervisor::Activate(BNode* node) {
-  CallTracker::Scope scope(&tracker_, m_seg_);
+  ManagerScope scope(&scopes_, m_seg_);
   cost_.Charge(CodeStyle::kOptimized, Costs::kProcedureCall * 4);
   // The parent directory must be active first, so the quota walk can follow
   // AST links — segment control's table is forced to mirror the hierarchy.
@@ -334,7 +334,7 @@ Result<uint32_t> MonolithicSupervisor::Activate(BNode* node) {
 }
 
 Status MonolithicSupervisor::Deactivate(uint32_t slot) {
-  CallTracker::Scope scope(&tracker_, m_seg_);
+  ManagerScope scope(&scopes_, m_seg_);
   BAstEntry& ast = ast_[slot];
   if (!ast.in_use) {
     return Status(Code::kInvalidArgument, "bad AST slot");
@@ -374,13 +374,14 @@ void MonolithicSupervisor::AcquireGlobalLock() {
   // If the lock was last freed at a virtual time this CPU has not reached
   // yet, the CPU busy-waits the difference away — real cycles, charged.
   // Structurally zero with one CPU (local time is globally monotone).
-  const Cycles spin_begin = trace_.Begin();
   const Cycles spin = global_lock_.Acquire(LocalNow(), current_cpu_);
   if (spin > 0) {
-    ChargeLockWait(cost_, /*prof=*/nullptr, spin, global_lock_.last_acquire_handoff());
+    ChargeLockWait(cost_, &scopes_, spin, global_lock_.last_acquire_handoff(),
+                   TraceSpan{.event = ev_lock_spin_,
+                             .proc = current_cpu_,
+                             .hist = hist_lock_spin_});
     metrics_.Inc(id_lock_spin_cycles_, spin);
     metrics_.Inc(id_lock_contended_);
-    trace_.CloseSpan(spin_begin, ev_lock_spin_, current_cpu_, 0, hist_lock_spin_);
   }
   cost_.Charge(CodeStyle::kOptimized, kGlobalLockCost);
   global_lock_held_ = true;
@@ -487,7 +488,7 @@ Status MonolithicSupervisor::CleanAndRelease(FrameIndex frame) {
 Result<uint32_t> MonolithicSupervisor::FindQuotaAst(uint32_t ast) {
   // Page control following segment control's AST links upward along the
   // directory hierarchy — the dependency the new design eliminates.
-  CallTracker::Scope scope(&tracker_, m_seg_);
+  ManagerScope scope(&scopes_, m_seg_);
   uint32_t current = ast;
   for (int hops = 0; hops < 64; ++hops) {
     cost_.Charge(CodeStyle::kOptimized, Costs::kProcedureCall);
@@ -504,7 +505,7 @@ Result<uint32_t> MonolithicSupervisor::FindQuotaAst(uint32_t ast) {
 }
 
 Status MonolithicSupervisor::GrowPage(uint32_t ast_index, uint32_t page) {
-  CallTracker::Scope scope(&tracker_, m_page_);
+  ManagerScope scope(&scopes_, m_page_);
   metrics_.Inc(id_growth_faults_);
   MKS_ASSIGN_OR_RETURN(uint32_t quota_ast, FindQuotaAst(ast_index));
   BAstEntry& quota_entry = ast_[quota_ast];
@@ -542,7 +543,7 @@ Status MonolithicSupervisor::HandleFullPack(uint32_t ast_index, uint32_t page) {
   // Page control invokes segment control, which reads address space
   // control's data base to find the directory entry — and then updates the
   // entry directly.  Three modules deep in each other's pockets.
-  CallTracker::Scope seg_scope(&tracker_, m_seg_);
+  ManagerScope seg_scope(&scopes_, m_seg_);
   metrics_.Inc(id_full_pack_moves_);
   (void)page;
   BAstEntry& ast = ast_[ast_index];
@@ -582,8 +583,8 @@ Status MonolithicSupervisor::HandleFullPack(uint32_t ast_index, uint32_t page) {
   {
     // Address space control consulted for the entry location, then the
     // directory entry rewritten in place, from DOWN here.
-    CallTracker::Scope as_scope(&tracker_, m_as_);
-    CallTracker::Scope dir_scope(&tracker_, m_dir_);
+    ManagerScope as_scope(&scopes_, m_as_);
+    ManagerScope dir_scope(&scopes_, m_dir_);
     BNode* node = FindNodeByUid(ast.uid);
     if (node == nullptr) {
       return Status(Code::kInternal, "moved segment has no tree node");
@@ -595,9 +596,11 @@ Status MonolithicSupervisor::HandleFullPack(uint32_t ast_index, uint32_t page) {
 }
 
 Status MonolithicSupervisor::HandleMissingPage(uint32_t ast_index, uint32_t page) {
-  CallTracker::Scope scope(&tracker_, m_page_);
-  Tracer::Span fault_span(&trace_, ev_fault_service_, ast_index, page,
-                          hist_fault_service_);
+  const ManagerScope scope(&scopes_, m_page_, kInheritActivity,
+                           TraceSpan{.event = ev_fault_service_,
+                                     .proc = ast_index,
+                                     .arg = page,
+                                     .hist = hist_fault_service_});
   cost_.Charge(CodeStyle::kOptimized, Costs::kFaultEntry);
   metrics_.Inc(id_page_faults_);
   AcquireGlobalLock();
@@ -605,8 +608,8 @@ Status MonolithicSupervisor::HandleMissingPage(uint32_t ast_index, uint32_t page
   // must re-walk segment control's and address space control's translation
   // tables to see whether the descriptor changed before the lock was won.
   {
-    CallTracker::Scope seg_scope(&tracker_, m_seg_);
-    CallTracker::Scope as_scope(&tracker_, m_as_);
+    ManagerScope seg_scope(&scopes_, m_seg_);
+    ManagerScope as_scope(&scopes_, m_as_);
     cost_.Charge(CodeStyle::kOptimized, kRetranslationCost);
     metrics_.Inc(id_retranslations_);
     if (rng_.NextBool(effective_conflict_rate_)) {
@@ -660,7 +663,7 @@ Status MonolithicSupervisor::HandleMissingPage(uint32_t ast_index, uint32_t page
   // In the one-level design the faulting process gives the processor away —
   // page control calling process control.
   {
-    CallTracker::Scope proc_scope(&tracker_, m_proc_);
+    ManagerScope proc_scope(&scopes_, m_proc_);
     cost_.Charge(CodeStyle::kOptimized, Costs::kProcedureCall);
   }
   return result;
@@ -744,7 +747,7 @@ Status MonolithicSupervisor::Write(SegmentUid uid, uint32_t offset, Word value) 
 // ---------------------------------------------------------------------------
 
 Result<ProcessId> MonolithicSupervisor::CreateProcess() {
-  CallTracker::Scope scope(&tracker_, m_proc_);
+  ManagerScope scope(&scopes_, m_proc_);
   const ProcessId pid(next_pid_++);
   // The state segment lives in the hierarchy like any other segment.
   MKS_ASSIGN_OR_RETURN(SegmentUid state,
@@ -771,7 +774,7 @@ Status MonolithicSupervisor::TouchStateSegment(BProcess& proc, int depth) {
   // Process control depends on segment control to store process states; the
   // load itself may fault, which re-enters page control — the loop the
   // two-level design breaks.
-  CallTracker::Scope scope(&tracker_, m_proc_);
+  ManagerScope scope(&scopes_, m_proc_);
   Word dummy = 0;
   Status st =
       ReferenceInternal(proc.state_segment, 0, AccessMode::kWrite, &dummy, proc.pc, depth);
@@ -797,7 +800,7 @@ Status MonolithicSupervisor::RunUntilQuiescent(uint64_t max_passes) {
       // the same deterministic interleaving the kernel scheduler uses.
       SwitchCpu(interleave_.NextCpu());
       {
-        CallTracker::Scope scope(&tracker_, m_proc_);
+        ManagerScope scope(&scopes_, m_proc_);
         cost_.Charge(CodeStyle::kOptimized, Costs::kProcessSwitch);
       }
       MKS_RETURN_IF_ERROR(TouchStateSegment(proc, 1));

@@ -42,6 +42,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/cpu_sched.h"
 #include "src/sim/metrics.h"
+#include "src/sim/scope.h"
 #include "src/sim/trace.h"
 #include "src/sync/spinlock.h"
 
@@ -249,6 +250,7 @@ class MonolithicSupervisor {
   Metrics metrics_;
   CallTracker tracker_;
   Tracer trace_{&clock_, &metrics_};
+  ScopeStack scopes_{&tracker_, /*prof=*/nullptr, &trace_};
   Rng rng_;
   // Keyed by (AST slot, page): the supervisor translates through AST slots,
   // so a slot reused for a different segment must be invalidated.
@@ -259,7 +261,7 @@ class MonolithicSupervisor {
   Cycles cpu_epoch_ = 0;  // global-clock value when current_cpu_ last resumed
   double effective_conflict_rate_ = 0;
   std::unique_ptr<PrimaryMemory> memory_;
-  VolumeControl volumes_{&cost_, &metrics_, &trace_};
+  VolumeControl volumes_{&cost_, &metrics_, &scopes_};
   ModuleId m_disk_, m_dir_, m_as_, m_seg_, m_page_, m_proc_;
 
   BNode root_;

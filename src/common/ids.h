@@ -73,6 +73,8 @@ using QuotaCellId = Id<QuotaCellIdTag, uint32_t>;
 // Dependency analysis.
 struct ModuleIdTag {};
 using ModuleId = Id<ModuleIdTag, uint16_t>;
+// No module: an instrumentation frame that names none, or cycles outside any.
+inline constexpr ModuleId kNoModule{UINT16_MAX};
 
 // Networking.
 struct ChannelIdTag {};

@@ -2,15 +2,6 @@
 
 namespace mks {
 
-void CallTracker::Enter(ModuleId callee) {
-  if (!stack_.empty() && !(stack_.back() == callee)) {
-    observed_.AddEdge(stack_.back(), callee, DepKind::kComponent);
-  }
-  stack_.push_back(callee);
-}
-
-void CallTracker::Exit() { stack_.pop_back(); }
-
 std::vector<std::string> CallTracker::UndeclaredEdges(const DependencyGraph& declared) const {
   std::vector<std::string> undeclared;
   for (const DepEdge& e : observed_.edges()) {
@@ -25,11 +16,6 @@ std::vector<std::string> CallTracker::UndeclaredEdges(const DependencyGraph& dec
     }
   }
   return undeclared;
-}
-
-void CallTracker::Reset() {
-  observed_ = DependencyGraph();
-  stack_.clear();
 }
 
 }  // namespace mks

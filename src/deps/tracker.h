@@ -3,8 +3,9 @@
 // The paper stresses that "inside an operating system careful analysis is
 // required to identify all intermodule dependencies" — loops hide in
 // exception paths and resource controls added last.  CallTracker makes that
-// analysis executable: every object-manager operation opens a Scope naming
-// its module; nested scopes record observed caller->callee edges.  Tests then
+// analysis executable: every object-manager operation opens a ManagerScope
+// (src/sim/scope.h) naming its module, and a module frame nested in another
+// module's frame is observed here as a caller->callee edge.  Tests then
 // assert that the observed call structure of the new kernel is a subset of
 // its declared lattice, and that the baseline supervisor's observed structure
 // really contains the loops of Figure 3.
@@ -24,53 +25,10 @@ class CallTracker {
   // Registers (or finds) a module in the observed graph.
   ModuleId Register(std::string_view name) { return observed_.AddModule(name); }
 
-  // RAII call scope.  Constructing a Scope while another module's scope is
-  // active records an observed edge from the active module to this one.
-  class Scope {
-   public:
-    Scope(CallTracker* tracker, ModuleId callee) : tracker_(tracker) {
-      if (tracker_ != nullptr) {
-        tracker_->Enter(callee);
-      }
-    }
-    ~Scope() {
-      if (tracker_ != nullptr) {
-        tracker_->Exit();
-      }
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    CallTracker* tracker_;
-  };
-
-  // Models the paper's two mechanisms for crossing the lattice without
-  // creating a dependency: a hardware exception entering the system afresh,
-  // and the software signal that "transfers control and arguments to a higher
-  // level module without leaving behind any procedure activation records".
-  // While a SignalScope is alive the caller stack is suspended, so calls made
-  // inside it are observed as fresh top-level entries, not as edges from the
-  // signalling module.
-  class SignalScope {
-   public:
-    explicit SignalScope(CallTracker* tracker) : tracker_(tracker) {
-      if (tracker_ != nullptr) {
-        saved_.swap(tracker_->stack_);
-      }
-    }
-    ~SignalScope() {
-      if (tracker_ != nullptr) {
-        tracker_->stack_.swap(saved_);
-      }
-    }
-    SignalScope(const SignalScope&) = delete;
-    SignalScope& operator=(const SignalScope&) = delete;
-
-   private:
-    CallTracker* tracker_;
-    std::vector<ModuleId> saved_;
-  };
+  // Records that `caller`'s frame called into `callee`.
+  void Observe(ModuleId caller, ModuleId callee) {
+    observed_.AddEdge(caller, callee, DepKind::kComponent);
+  }
 
   const DependencyGraph& observed() const { return observed_; }
 
@@ -80,14 +38,8 @@ class CallTracker {
   // conforms to its declared dependency structure.
   std::vector<std::string> UndeclaredEdges(const DependencyGraph& declared) const;
 
-  void Reset();
-
  private:
-  void Enter(ModuleId callee);
-  void Exit();
-
   DependencyGraph observed_;
-  std::vector<ModuleId> stack_;
 };
 
 }  // namespace mks

@@ -16,7 +16,7 @@ uint32_t VtocEntry::RecordsUsed() const {
 }
 
 DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostModel* cost,
-                   Metrics* metrics, Tracer* trace)
+                   Metrics* metrics, ScopeStack* scopes)
     : id_(id),
       record_count_(record_count),
       free_records_(record_count),
@@ -25,8 +25,8 @@ DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostMo
       vtoc_(vtoc_slots),
       cost_(cost),
       metrics_(metrics),
-      trace_(trace),
-      ev_batch_round_(trace != nullptr ? trace->InternEvent("disk.batch_round") : 0),
+      scopes_(scopes),
+      ev_batch_round_(scopes != nullptr ? scopes->trace()->InternEvent("disk.batch_round") : 0),
       id_pack_full_(metrics->Intern("disk.pack_full")),
       id_records_allocated_(metrics->Intern("disk.records_allocated")),
       id_records_freed_(metrics->Intern("disk.records_freed")),
@@ -113,7 +113,9 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     return 0;
   }
   const size_t take = io_queue_.size() < max_batch ? io_queue_.size() : max_batch;
-  const Cycles trace_begin = trace_ != nullptr ? trace_->Begin() : 0;
+  ManagerScope span(scopes_, TraceSpan{.event = ev_batch_round_,
+                                       .proc = id_.value,
+                                       .arg = static_cast<uint32_t>(take)});
   std::vector<IoRequest> round(std::make_move_iterator(io_queue_.begin()),
                                std::make_move_iterator(io_queue_.begin() + take));
   io_queue_.erase(io_queue_.begin(), io_queue_.begin() + take);
@@ -141,10 +143,6 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
         completed_reads->push_back(req.cookie);
       }
     }
-  }
-  if (trace_ != nullptr) {
-    trace_->CloseSpan(trace_begin, ev_batch_round_, id_.value,
-                      static_cast<uint32_t>(take));
   }
   return take;
 }
@@ -214,7 +212,7 @@ void VolumeControl::FillPage(uint64_t cookie, std::span<Word> out) const {
 
 PackId VolumeControl::AddPack(uint32_t record_count, uint32_t vtoc_slots) {
   PackId id(static_cast<uint16_t>(packs_.size()));
-  packs_.emplace_back(id, record_count, vtoc_slots, cost_, metrics_, trace_);
+  packs_.emplace_back(id, record_count, vtoc_slots, cost_, metrics_, scopes_);
   return id;
 }
 

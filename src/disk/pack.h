@@ -24,7 +24,7 @@
 #include "src/hw/machine.h"
 #include "src/sim/clock.h"
 #include "src/sim/metrics.h"
-#include "src/sim/trace.h"
+#include "src/sim/scope.h"
 
 namespace mks {
 
@@ -57,7 +57,7 @@ struct VtocEntry {
 class DiskPack {
  public:
   DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostModel* cost,
-           Metrics* metrics, Tracer* trace = nullptr);
+           Metrics* metrics, ScopeStack* scopes = nullptr);
 
   PackId id() const { return id_; }
   uint32_t record_count() const { return record_count_; }
@@ -127,7 +127,7 @@ class DiskPack {
   std::vector<IoRequest> io_queue_;
   CostModel* cost_;
   Metrics* metrics_;
-  Tracer* trace_;
+  ScopeStack* scopes_;
   TraceEventId ev_batch_round_ = 0;
   MetricId id_pack_full_;
   MetricId id_records_allocated_;
@@ -146,8 +146,8 @@ class DiskPack {
 // (pack, record) cookie at materialization time.
 class VolumeControl : public PageSource {
  public:
-  VolumeControl(CostModel* cost, Metrics* metrics, Tracer* trace = nullptr)
-      : cost_(cost), metrics_(metrics), trace_(trace) {}
+  VolumeControl(CostModel* cost, Metrics* metrics, ScopeStack* scopes = nullptr)
+      : cost_(cost), metrics_(metrics), scopes_(scopes) {}
 
   PackId AddPack(uint32_t record_count, uint32_t vtoc_slots);
   DiskPack* pack(PackId id);
@@ -175,7 +175,7 @@ class VolumeControl : public PageSource {
   std::vector<DiskPack> packs_;
   CostModel* cost_;
   Metrics* metrics_;
-  Tracer* trace_ = nullptr;
+  ScopeStack* scopes_ = nullptr;
 };
 
 }  // namespace mks

@@ -335,7 +335,6 @@ class Processor {
   }
   void set_system_ds(DescriptorSegment* ds) { system_ds_ = ds; }
   DescriptorSegment* user_ds() const { return user_ds_; }
-  DescriptorSegment* system_ds() const { return system_ds_; }
   const HwFeatures& features() const { return features_; }
 
   // Translates and access-checks one reference.  On success returns the

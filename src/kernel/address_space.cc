@@ -5,7 +5,7 @@ namespace mks {
 AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                                          SegmentManager* segs)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kAddressSpace)),
+      self_(ctx->scopes.Register(module_names::kAddressSpace)),
       core_segs_(core_segs),
       segs_(segs),
       id_spaces_created_(ctx->metrics.Intern("asm.spaces_created")),
@@ -13,7 +13,7 @@ AddressSpaceManager::AddressSpaceManager(KernelContext* ctx, CoreSegmentManager*
       id_disconnect_everywhere_(ctx->metrics.Intern("asm.disconnect_everywhere")) {}
 
 Status AddressSpaceManager::Init(uint16_t user_sdw_count) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   user_sdw_count_ = user_sdw_count;
   // One resident descriptor per core segment: the system address space.
   system_ds_.sdws.assign(kSystemSegnoLimit, Sdw{});
@@ -49,7 +49,7 @@ Status AddressSpaceManager::Init(uint16_t user_sdw_count) {
 }
 
 Status AddressSpaceManager::CreateSpace(ProcessId pid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (spaces_.count(pid) != 0) {
     return Status(Code::kAlreadyExists, "address space exists");
   }
@@ -62,7 +62,7 @@ Status AddressSpaceManager::CreateSpace(ProcessId pid) {
 }
 
 Status AddressSpaceManager::DestroySpace(ProcessId pid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto it = spaces_.find(pid);
   if (it == spaces_.end()) {
     return Status(Code::kNotFound, "no address space");
@@ -85,7 +85,7 @@ DescriptorSegment* AddressSpaceManager::Space(ProcessId pid) {
 
 Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
                                     AccessModes modes, uint8_t ring_bracket) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto it = spaces_.find(pid);
   if (it == spaces_.end()) {
     return Status(Code::kNotFound, "no address space");
@@ -118,7 +118,7 @@ Status AddressSpaceManager::Connect(ProcessId pid, Segno segno, uint32_t ast,
 }
 
 Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto it = spaces_.find(pid);
   if (it == spaces_.end()) {
     return Status(Code::kNotFound, "no address space");
@@ -138,7 +138,7 @@ Status AddressSpaceManager::Disconnect(ProcessId pid, Segno segno) {
 }
 
 uint32_t AddressSpaceManager::DisconnectEverywhere(SegmentUid uid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   uint32_t severed = 0;
   for (auto& [pid, space] : spaces_) {
     for (uint16_t i = 0; i < user_sdw_count_; ++i) {

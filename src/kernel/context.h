@@ -2,9 +2,10 @@
 //
 // Every manager receives a KernelContext*: the simulated clock/cost model,
 // metrics, the deferred-completion event queue, the runtime dependency
-// tracker, the eventcount table, the reference monitor, primary memory, the
-// disk volumes, and the service processor.  The context owns no policy; it is
-// the "machine room" the managers are built over.
+// tracker and the ManagerScope frame stack over it, the eventcount table,
+// the reference monitor, primary memory, the disk volumes, and the service
+// processor.  The context owns no policy; it is the "machine room" the
+// managers are built over.
 #ifndef MKS_KERNEL_CONTEXT_H_
 #define MKS_KERNEL_CONTEXT_H_
 
@@ -19,6 +20,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/sim/prof.h"
+#include "src/sim/scope.h"
 #include "src/sim/trace.h"
 #include "src/sync/eventcount.h"
 
@@ -30,10 +32,11 @@ struct KernelContext {
       : cost(&clock),
         trace(&clock, &metrics),
         prof(&clock),
+        scopes(&tracker, &prof, &trace),
         eventcounts(&metrics),
         monitor(&clock, &metrics),
         memory(memory_frames, &cost, &metrics),
-        volumes(&cost, &metrics, &trace),
+        volumes(&cost, &metrics, &scopes),
         cpus(cpu_count, features, &cost, &metrics, &trace),
         smp(cpu_count, &metrics),
         secret(secret_seed) {
@@ -49,6 +52,7 @@ struct KernelContext {
   Prof prof;     // per-CPU cycle attribution + stall watchdog; inert until Enable()d
   EventQueue events;
   CallTracker tracker;
+  ScopeStack scopes;  // the ManagerScope frames: edges, profiler cells, spans
   EventcountTable eventcounts;
   ReferenceMonitor monitor;
   PrimaryMemory memory;

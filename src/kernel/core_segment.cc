@@ -4,11 +4,11 @@ namespace mks {
 
 CoreSegmentManager::CoreSegmentManager(KernelContext* ctx)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kCoreSegment)),
+      self_(ctx->scopes.Register(module_names::kCoreSegment)),
       id_allocated_pages_(ctx->metrics.Intern("core_seg.allocated_pages")) {}
 
 Result<CoreSegId> CoreSegmentManager::Allocate(std::string name, uint32_t pages) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (sealed_) {
     return Status(Code::kFailedPrecondition, "core segments are fixed after initialization");
   }
@@ -28,7 +28,7 @@ Result<CoreSegId> CoreSegmentManager::Allocate(std::string name, uint32_t pages)
 }
 
 Result<Word> CoreSegmentManager::ReadWord(CoreSegId seg, uint32_t offset) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (seg.value >= segments_.size()) {
     return Status(Code::kInvalidArgument, "bad core segment id");
   }
@@ -40,7 +40,7 @@ Result<Word> CoreSegmentManager::ReadWord(CoreSegId seg, uint32_t offset) {
 }
 
 Status CoreSegmentManager::WriteWord(CoreSegId seg, uint32_t offset, Word value) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (seg.value >= segments_.size()) {
     return Status(Code::kInvalidArgument, "bad core segment id");
   }

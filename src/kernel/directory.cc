@@ -7,7 +7,7 @@ namespace mks {
 DirectoryManager::DirectoryManager(KernelContext* ctx, QuotaCellManager* quota,
                                    SegmentManager* segs, AddressSpaceManager* spaces)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kDirectory)),
+      self_(ctx->scopes.Register(module_names::kDirectory)),
       quota_(quota),
       segs_(segs),
       spaces_(spaces),
@@ -57,7 +57,7 @@ Status DirectoryManager::CheckModifyDir(const Subject& subject, DirectoryRec& di
 }
 
 Status DirectoryManager::InitRoot(Label label, Acl acl, uint64_t quota_limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   if (root_.value != 0) {
     return Status(Code::kAlreadyExists, "root exists");
@@ -89,7 +89,7 @@ Status DirectoryManager::InitRoot(Label label, Acl acl, uint64_t quota_limit) {
 
 Result<EntryId> DirectoryManager::Search(const Subject& subject, EntryId dir_id,
                                          std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   ctx_->metrics.Inc(id_searches_);
@@ -189,7 +189,7 @@ Status DirectoryManager::CreateEntryCommon(const Subject& subject, EntryId dir_i
 
 Result<EntryId> DirectoryManager::CreateSegmentEntry(const Subject& subject, EntryId dir,
                                                      std::string name, Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirEntryRec* entry = nullptr;
   DirectoryRec* parent = nullptr;
@@ -200,7 +200,7 @@ Result<EntryId> DirectoryManager::CreateSegmentEntry(const Subject& subject, Ent
 
 Result<EntryId> DirectoryManager::CreateDirectoryEntry(const Subject& subject, EntryId dir,
                                                        std::string name, Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirEntryRec* entry = nullptr;
   DirectoryRec* parent = nullptr;
@@ -230,7 +230,7 @@ Result<EntryId> DirectoryManager::CreateDirectoryEntry(const Subject& subject, E
 
 Status DirectoryManager::DeleteEntry(const Subject& subject, EntryId dir_id,
                                      std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
@@ -278,7 +278,7 @@ Status DirectoryManager::DeleteEntry(const Subject& subject, EntryId dir_id,
 
 Status DirectoryManager::RenameEntry(const Subject& subject, EntryId dir_id,
                                      std::string_view old_name, std::string new_name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
@@ -311,7 +311,7 @@ Status DirectoryManager::RenameEntry(const Subject& subject, EntryId dir_id,
 
 Status DirectoryManager::SetAcl(const Subject& subject, EntryId dir_id, std::string_view name,
                                 Acl acl) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
@@ -334,7 +334,7 @@ Status DirectoryManager::SetAcl(const Subject& subject, EntryId dir_id, std::str
 
 Status DirectoryManager::ListNames(const Subject& subject, EntryId dir_id,
                                    std::vector<std::string>* out) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr || !CanObserveDir(subject, *dir)) {
@@ -350,7 +350,7 @@ Status DirectoryManager::ListNames(const Subject& subject, EntryId dir_id,
 }
 
 Status DirectoryManager::SetQuota(const Subject& subject, EntryId dir_id, uint64_t limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
@@ -387,7 +387,7 @@ Status DirectoryManager::SetQuota(const Subject& subject, EntryId dir_id, uint64
 }
 
 Status DirectoryManager::RemoveQuota(const Subject& subject, EntryId dir_id) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr) {
@@ -425,7 +425,7 @@ Status DirectoryManager::RemoveQuota(const Subject& subject, EntryId dir_id) {
 }
 
 Result<QuotaStatus> DirectoryManager::GetQuota(const Subject& subject, EntryId dir_id) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr || !CanObserveDir(subject, *dir)) {
@@ -441,7 +441,7 @@ Result<QuotaStatus> DirectoryManager::GetQuota(const Subject& subject, EntryId d
 }
 
 Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, EntryId target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   const SegmentUid uid(target.value);
@@ -553,7 +553,7 @@ void DirectoryManager::AuditQuotaIntegrity(std::vector<std::string>* findings) {
 
 Status DirectoryManager::CompleteSegmentMove(SegmentUid uid, PackId new_pack,
                                              VtocIndex new_vtoc) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   auto parent_it = parent_of_.find(uid);
   if (parent_it == parent_of_.end()) {

@@ -7,7 +7,7 @@ KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
                          AddressSpaceManager* spaces, KnownSegmentManager* ksm,
                          DirectoryManager* dirs)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kGates)),
+      self_(ctx->scopes.Register(module_names::kGates)),
       vpm_(vpm),
       pfm_(pfm),
       segs_(segs),
@@ -24,111 +24,72 @@ KernelGates::KernelGates(KernelContext* ctx, VirtualProcessorManager* vpm,
       hist_reference_(ctx->metrics.InternHistogram("gate.reference_cycles")) {}
 
 Result<EntryId> KernelGates::Search(ProcContext& ctx, EntryId dir, std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSearch);
+  const GateEntry entry(this, ctx, GateOp::kSearch);
   return dirs_->Search(ctx.subject, dir, name);
 }
 
 Result<EntryId> KernelGates::CreateSegment(ProcContext& ctx, EntryId dir, std::string name,
                                            Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateSegment);
+  const GateEntry entry(this, ctx, GateOp::kCreateSegment);
   return dirs_->CreateSegmentEntry(ctx.subject, dir, std::move(name), std::move(acl), label);
 }
 
 Result<EntryId> KernelGates::CreateDirectory(ProcContext& ctx, EntryId dir, std::string name,
                                              Acl acl, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateDirectory);
+  const GateEntry entry(this, ctx, GateOp::kCreateDirectory);
   return dirs_->CreateDirectoryEntry(ctx.subject, dir, std::move(name), std::move(acl), label);
 }
 
 Status KernelGates::Delete(ProcContext& ctx, EntryId dir, std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kDelete);
+  const GateEntry entry(this, ctx, GateOp::kDelete);
   return dirs_->DeleteEntry(ctx.subject, dir, name);
 }
 
 Status KernelGates::Rename(ProcContext& ctx, EntryId dir, std::string_view old_name,
                            std::string new_name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kRename);
+  const GateEntry entry(this, ctx, GateOp::kRename);
   return dirs_->RenameEntry(ctx.subject, dir, old_name, std::move(new_name));
 }
 
 Status KernelGates::SetAcl(ProcContext& ctx, EntryId dir, std::string_view name, Acl acl) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSetAcl);
+  const GateEntry entry(this, ctx, GateOp::kSetAcl);
   return dirs_->SetAcl(ctx.subject, dir, name, std::move(acl));
 }
 
 Status KernelGates::ListNames(ProcContext& ctx, EntryId dir, std::vector<std::string>* out) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kListNames);
+  const GateEntry entry(this, ctx, GateOp::kListNames);
   return dirs_->ListNames(ctx.subject, dir, out);
 }
 
 Status KernelGates::SetQuota(ProcContext& ctx, EntryId dir, uint64_t limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kSetQuota);
+  const GateEntry entry(this, ctx, GateOp::kSetQuota);
   return dirs_->SetQuota(ctx.subject, dir, limit);
 }
 
 Status KernelGates::RemoveQuota(ProcContext& ctx, EntryId dir) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kRemoveQuota);
+  const GateEntry entry(this, ctx, GateOp::kRemoveQuota);
   return dirs_->RemoveQuota(ctx.subject, dir);
 }
 
 Result<QuotaStatus> KernelGates::GetQuota(ProcContext& ctx, EntryId dir) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kGetQuota);
+  const GateEntry entry(this, ctx, GateOp::kGetQuota);
   return dirs_->GetQuota(ctx.subject, dir);
 }
 
 Result<Segno> KernelGates::Initiate(ProcContext& ctx, EntryId target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kInitiate);
+  const GateEntry entry(this, ctx, GateOp::kInitiate);
   MKS_ASSIGN_OR_RETURN(EntryInfo info, dirs_->ResolveForInitiate(ctx.subject, target));
   // Ring bracket: a user segment is usable from the subject's ring.
   return ksm_->Initiate(ctx.pid, info.home, info.modes, ctx.subject.ring);
 }
 
 Status KernelGates::Terminate(ProcContext& ctx, Segno segno) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kTerminate);
+  const GateEntry entry(this, ctx, GateOp::kTerminate);
   return ksm_->Terminate(ctx.pid, segno);
 }
 
 Result<EventcountId> KernelGates::CreateEventcount(ProcContext& ctx, Label label) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kCreateEventcount);
+  const GateEntry entry(this, ctx, GateOp::kCreateEventcount);
   if (!label.Dominates(ctx.subject.label)) {
     return Status(Code::kNoAccess, "*-property: eventcount must dominate creator");
   }
@@ -141,10 +102,7 @@ Result<EventcountId> KernelGates::CreateEventcount(ProcContext& ctx, Label label
 }
 
 Status KernelGates::AdvanceEventcount(ProcContext& ctx, EventcountId ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kAdvanceEventcount);
+  const GateEntry entry(this, ctx, GateOp::kAdvanceEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -156,10 +114,7 @@ Status KernelGates::AdvanceEventcount(ProcContext& ctx, EventcountId ec) {
 }
 
 Result<uint64_t> KernelGates::ReadEventcount(ProcContext& ctx, EventcountId ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kReadEventcount);
+  const GateEntry entry(this, ctx, GateOp::kReadEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -169,10 +124,7 @@ Result<uint64_t> KernelGates::ReadEventcount(ProcContext& ctx, EventcountId ec) 
 }
 
 Status KernelGates::AwaitEventcount(ProcContext& ctx, EventcountId ec, uint64_t target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope gate(&ctx_->prof, ProfDomain::kGate);
-  ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
-  TraceGate(ctx, GateOp::kAwaitEventcount);
+  const GateEntry entry(this, ctx, GateOp::kAwaitEventcount);
   if (ec.value >= user_eventcounts_.size() || !user_eventcounts_[ec.value].valid) {
     return Status(Code::kNotFound, "no such eventcount");
   }
@@ -202,8 +154,10 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
                               Word* out, Word in) {
   // Span over the whole fault loop; the duration is the latency the user
   // program observes for this reference (fast path: a few cycles).
-  Tracer::Span span(&ctx_->trace, ev_reference_, ctx.pid.value, segno.value,
-                    hist_reference_);
+  const ManagerScope span(&ctx_->scopes, TraceSpan{.event = ev_reference_,
+                                                  .proc = ctx.pid.value,
+                                                  .arg = segno.value,
+                                                  .hist = hist_reference_});
   ctx.pending_wait = WaitSpec{};
   spaces_->BindToProcessor(&ctx_->cpu(), ctx.pid);
   for (int iteration = 0; iteration < kMaxFaultIterations; ++iteration) {
@@ -217,11 +171,10 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
       return Status::Ok();
     }
     // A hardware exception enters the supervisor afresh: no caller stack is
-    // carried across the fault boundary.
-    CallTracker::SignalScope fresh_entry(&ctx_->tracker);
-    // Everything from here to retry is fault service; the paging and naming
-    // layers open their own domains underneath.
-    Prof::Scope fault(&ctx_->prof, ProfDomain::kFaultService);
+    // carried across the fault boundary.  Everything from here to retry is
+    // fault service; the paging and naming layers open their own cells
+    // underneath.
+    const ManagerScope fault(&ctx_->scopes, kBarrier, ProfDomain::kFaultService);
     switch (access.fault.kind) {
       case FaultKind::kMissingSegment: {
         MKS_RETURN_IF_ERROR(ksm_->HandleSegmentFault(ctx.pid, segno));

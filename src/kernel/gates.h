@@ -120,10 +120,20 @@ class KernelGates {
   Status Reference(ProcContext& ctx, Segno segno, uint32_t offset, AccessMode mode, Word* out,
                    Word in);
 
-  // Records a ring crossing as a gate.call instant (proc = pid, arg = op).
-  void TraceGate(const ProcContext& ctx, GateOp op) {
-    ctx_->trace.Instant(ev_gate_call_, ctx.pid.value, static_cast<uint32_t>(op));
-  }
+  // A gate entry point's boundary: enters gate_keeper in the gate activity,
+  // charges the ring crossing, and records it as a gate.call instant
+  // (proc = pid, arg = op).
+  class GateEntry {
+   public:
+    GateEntry(KernelGates* gates, const ProcContext& ctx, GateOp op)
+        : scope_(&gates->ctx_->scopes, gates->self_, ProfDomain::kGate) {
+      gates->ctx_->cost.Charge(CodeStyle::kStructured, Costs::kGateCall);
+      gates->ctx_->trace.Instant(gates->ev_gate_call_, ctx.pid.value, static_cast<uint32_t>(op));
+    }
+
+   private:
+    ManagerScope scope_;
+  };
 
   struct UserEventcount {
     bool valid = false;

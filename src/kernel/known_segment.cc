@@ -5,7 +5,7 @@ namespace mks {
 KnownSegmentManager::KnownSegmentManager(KernelContext* ctx, SegmentManager* segs,
                                          AddressSpaceManager* spaces)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kKnownSegment)),
+      self_(ctx->scopes.Register(module_names::kKnownSegment)),
       segs_(segs),
       spaces_(spaces),
       id_initiates_(ctx->metrics.Intern("ksm.initiates")),
@@ -20,7 +20,7 @@ KnownSegmentManager::KnownSegmentManager(KernelContext* ctx, SegmentManager* seg
 }
 
 Status KnownSegmentManager::CreateKst(ProcessId pid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   if (ksts_.count(pid) != 0) {
     return Status(Code::kAlreadyExists, "KST exists");
@@ -35,7 +35,7 @@ Status KnownSegmentManager::CreateKst(ProcessId pid) {
 }
 
 Status KnownSegmentManager::DestroyKst(ProcessId pid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   auto it = ksts_.find(pid);
   if (it == ksts_.end()) {
@@ -47,7 +47,7 @@ Status KnownSegmentManager::DestroyKst(ProcessId pid) {
 }
 
 Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   // Check-then-clear: scan under a read section first, and only pay the
   // write side when a binding actually needs clearing.  A process that
@@ -92,7 +92,7 @@ Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
 
 Result<Segno> KnownSegmentManager::Initiate(ProcessId pid, const SegmentHome& home,
                                             AccessModes modes, uint8_t ring_bracket) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   auto it = ksts_.find(pid);
@@ -117,7 +117,7 @@ Result<Segno> KnownSegmentManager::Initiate(ProcessId pid, const SegmentHome& ho
 }
 
 Status KnownSegmentManager::Terminate(ProcessId pid, Segno segno) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   KstEntry* entry = Find(pid, segno);
   if (entry == nullptr || !entry->valid) {
@@ -173,7 +173,7 @@ KstEntry* KnownSegmentManager::Find(ProcessId pid, Segno segno) {
 }
 
 Status KnownSegmentManager::HandleSegmentFault(ProcessId pid, Segno segno) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
   KstEntry* entry = Find(pid, segno);
@@ -190,7 +190,7 @@ Status KnownSegmentManager::HandleSegmentFault(ProcessId pid, Segno segno) {
 
 Status KnownSegmentManager::HandleMissingPage(ProcessId pid, Segno segno, uint32_t page,
                                               WaitSpec* wait) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   KstEntry* entry = Find(pid, segno);
   if (entry == nullptr || !entry->valid) {
@@ -219,7 +219,7 @@ void KnownSegmentManager::RelocateUid(SegmentUid uid, PackId pack, VtocIndex vto
 
 Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uint32_t page,
                                                  MoveSignal* signal, WaitSpec* wait) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
   ctx_->metrics.Inc(id_quota_exceptions_);

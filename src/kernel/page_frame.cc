@@ -7,7 +7,7 @@ namespace mks {
 PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                                    QuotaCellManager* quota, VirtualProcessorManager* vpm)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kPageFrame)),
+      self_(ctx->scopes.Register(module_names::kPageFrame)),
       core_segs_(core_segs),
       quota_(quota),
       vpm_(vpm),
@@ -34,7 +34,7 @@ PageFrameManager::PageFrameManager(KernelContext* ctx, CoreSegmentManager* core_
       hist_fault_service_(ctx->metrics.InternHistogram("fault.service_cycles")) {}
 
 Status PageFrameManager::Init() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   first_frame_ = core_segs_->FirstPageableFrame();
   frame_limit_ = ctx_->memory.frame_count();
   if (first_frame_ >= frame_limit_) {
@@ -87,7 +87,7 @@ uint32_t PageFrameManager::ClockSelectVictim() {
 Result<FrameIndex> PageFrameManager::AcquireFrame() {
   // Frame supply is paging I/O: the inline-eviction fallback pays a disk
   // writeback right here on the fault path.
-  Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+  const ManagerScope io(&ctx_->scopes, ProfDomain::kPagingIo);
   if (!free_list_.empty()) {
     FrameIndex frame = free_list_.back();
     free_list_.pop_back();
@@ -178,9 +178,14 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
                                             VtocIndex vtoc, QuotaCellId cell,
                                             EventcountId seg_ec, ProcessId initiator,
                                             WaitSpec* wait) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope fault(&ctx_->prof, ProfDomain::kFaultService);
-  const Cycles fault_begin = ctx_->trace.Begin();
+  // The fault.page_service span is recorded where the page is serviced, not
+  // on an error return; an asynchronous read's span closes at completion.
+  ManagerScope scope(&ctx_->scopes, self_, ProfDomain::kFaultService,
+                     TraceSpan{.event = ev_fault_service_,
+                               .proc = initiator.value,
+                               .arg = page,
+                               .hist = hist_fault_service_,
+                               .on_end = true});
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
   ctx_->metrics.Inc(id_faults_serviced_);
   Ptw& ptw = pt->ptws[page];
@@ -243,59 +248,42 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
       ctx_->metrics.Inc(id_zero_page_reallocations_);
     }
     fm.zero = false;
-    ptw.frame = frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;
     ptw.modified = true;  // core copy now diverges from the reclaimed record
-    vpm_->Advance(seg_ec);
+  } else if (async_) {
+    // Asynchronous read: leave the descriptor locked, post the transfer, and
+    // tell the caller what to await.
+    ptw.locked = true;
+    fi.state = FrameState::kIoInProgress;
+    fi.posted_at = scope.span_begin();
+    ctx_->trace.Instant(ev_fault_posted_, initiator.value, page);
+    ++pending_reads_;
+    ctx_->events.Schedule(ctx_->clock.now() + Costs::kDiskReadLatency,
+                          [this, frame, initiator]() {
+                            completions_.push_back(Completion{frame, initiator});
+                          });
+    ctx_->metrics.Inc(id_async_reads_);
     if (pipeline_.readahead) {
       MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
     }
-    ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
-                          hist_fault_service_);
-    return Status::Ok();
-  }
-
-  if (!async_) {
-    {
-      Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
-      ctx_->volumes.ReadRecordLazy(pack, fm.record, &ctx_->memory, frame);
+    if (wait != nullptr) {
+      wait->valid = true;
+      wait->ec = seg_ec;
+      wait->target = ctx_->eventcounts.Read(seg_ec) + 1;
     }
-    ptw.frame = frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;
-    vpm_->Advance(seg_ec);
-    if (pipeline_.readahead) {
-      MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
-    }
-    ctx_->trace.CloseSpan(fault_begin, ev_fault_service_, initiator.value, page,
-                          hist_fault_service_);
-    return Status::Ok();
+    return Status(Code::kBlocked, "page read posted");
+  } else {
+    const ManagerScope io(&ctx_->scopes, ProfDomain::kPagingIo);
+    ctx_->volumes.ReadRecordLazy(pack, fm.record, &ctx_->memory, frame);
   }
-
-  // Asynchronous read: leave the descriptor locked, post the transfer, and
-  // tell the caller what to await.
-  ptw.locked = true;
-  fi.state = FrameState::kIoInProgress;
-  fi.posted_at = fault_begin;
-  ctx_->trace.Instant(ev_fault_posted_, initiator.value, page);
-  ++pending_reads_;
-  const RecordIndex record = fm.record;
-  ctx_->events.Schedule(ctx_->clock.now() + Costs::kDiskReadLatency,
-                        [this, frame, initiator]() {
-                          completions_.push_back(Completion{frame, initiator});
-                        });
-  ctx_->metrics.Inc(id_async_reads_);
-  (void)record;
+  ptw.frame = frame.value;
+  ptw.in_core = true;
+  ptw.locked = false;
+  vpm_->Advance(seg_ec);
   if (pipeline_.readahead) {
     MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
   }
-  if (wait != nullptr) {
-    wait->valid = true;
-    wait->ec = seg_ec;
-    wait->target = ctx_->eventcounts.Read(seg_ec) + 1;
-  }
-  return Status(Code::kBlocked, "page read posted");
+  scope.EndSpan();
+  return Status::Ok();
 }
 
 void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
@@ -359,7 +347,7 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
     // Synchronous mode has no daemon running between faults: the
     // anticipatory sweep completes before the fault returns, leaving no
     // locked window behind.
-    Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+    const ManagerScope io(&ctx_->scopes, ProfDomain::kPagingIo);
     while (dp->queued_io() > 0) {
       DispatchPackQueue(pack);
     }
@@ -402,8 +390,7 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
 }
 
 bool PageFrameManager::PageIoDaemonStep() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+  ManagerScope scope(&ctx_->scopes, self_, ProfDomain::kPagingIo);
   bool did_work = false;
   while (!completions_.empty()) {
     const Completion completion = completions_.front();
@@ -484,7 +471,7 @@ bool PageFrameManager::ReplenishFreePool() {
 
 Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
                                  QuotaCellId cell, EventcountId seg_ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
   VtocEntry* entry = ctx_->volumes.pack(pack)->GetVtoc(vtoc);
   if (entry == nullptr) {
@@ -529,7 +516,7 @@ Status PageFrameManager::AddPage(PageTable* pt, uint32_t page, PackId pack, Vtoc
 
 Status PageFrameManager::EvictPage(PageTable* pt, uint32_t page, PackId pack, VtocIndex vtoc,
                                    QuotaCellId cell, EventcountId seg_ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   Ptw& ptw = pt->ptws[page];
   if (!ptw.in_core) {
     return Status::Ok();
@@ -587,8 +574,7 @@ void PageFrameManager::AuditIntegrity(std::vector<std::string>* findings) const 
 }
 
 bool PageFrameManager::PageWriterStep(size_t max_writes) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
-  Prof::Scope io(&ctx_->prof, ProfDomain::kPagingIo);
+  ManagerScope scope(&ctx_->scopes, self_, ProfDomain::kPagingIo);
   bool replenished = false;
   if (pipeline_.precleaning) {
     replenished = ReplenishFreePool();

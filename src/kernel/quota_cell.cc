@@ -8,7 +8,7 @@ constexpr uint32_t kSlotWords = 4;  // limit, count, pack, vtoc
 
 QuotaCellManager::QuotaCellManager(KernelContext* ctx, CoreSegmentManager* core_segs)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kQuotaCell)),
+      self_(ctx->scopes.Register(module_names::kQuotaCell)),
       core_segs_(core_segs),
       id_cells_loaded_(ctx->metrics.Intern("quota.cells_loaded")),
       id_checks_(ctx->metrics.Intern("quota.checks")),
@@ -16,7 +16,7 @@ QuotaCellManager::QuotaCellManager(KernelContext* ctx, CoreSegmentManager* core_
       id_refunds_(ctx->metrics.Intern("quota.refunds")) {}
 
 Status QuotaCellManager::Init(uint32_t slots) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   const uint32_t words = slots * kSlotWords;
   const uint32_t pages = (words + kPageWords - 1) / kPageWords;
   auto seg = core_segs_->Allocate("quota_cell_table", pages == 0 ? 1 : pages);
@@ -38,7 +38,7 @@ void QuotaCellManager::StoreThrough(QuotaCellId cell) {
 }
 
 Result<QuotaCellId> QuotaCellManager::CreateCell(PackId pack, VtocIndex vtoc, uint64_t limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   VtocEntry* entry = ctx_->volumes.pack(pack)->GetVtoc(vtoc);
   if (entry == nullptr) {
     return Status(Code::kInvalidArgument, "no such VTOC entry");
@@ -53,7 +53,7 @@ Result<QuotaCellId> QuotaCellManager::CreateCell(PackId pack, VtocIndex vtoc, ui
 }
 
 Result<QuotaCellId> QuotaCellManager::LoadCell(PackId pack, VtocIndex vtoc) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   for (uint32_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
     if (slot.in_use && slot.info.home_pack == pack && slot.info.home_vtoc == vtoc) {
@@ -77,7 +77,7 @@ Result<QuotaCellId> QuotaCellManager::LoadCell(PackId pack, VtocIndex vtoc) {
 }
 
 Status QuotaCellManager::FlushCell(QuotaCellId cell) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (cell.value >= slots_.size() || !slots_[cell.value].in_use) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
   }
@@ -92,7 +92,7 @@ Status QuotaCellManager::FlushCell(QuotaCellId cell) {
 }
 
 Status QuotaCellManager::DestroyCell(QuotaCellId cell) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (cell.value >= slots_.size() || !slots_[cell.value].in_use) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
   }
@@ -110,7 +110,7 @@ Status QuotaCellManager::DestroyCell(QuotaCellId cell) {
 }
 
 Status QuotaCellManager::Charge(QuotaCellId cell, uint64_t pages) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
   if (cell.value >= slots_.size() || !slots_[cell.value].in_use) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
@@ -127,7 +127,7 @@ Status QuotaCellManager::Charge(QuotaCellId cell, uint64_t pages) {
 }
 
 Status QuotaCellManager::Refund(QuotaCellId cell, uint64_t pages) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (cell.value >= slots_.size() || !slots_[cell.value].in_use) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
   }
@@ -139,7 +139,7 @@ Status QuotaCellManager::Refund(QuotaCellId cell, uint64_t pages) {
 }
 
 Status QuotaCellManager::SetLimit(QuotaCellId cell, uint64_t limit) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (cell.value >= slots_.size() || !slots_[cell.value].in_use) {
     return Status(Code::kInvalidArgument, "bad quota cell id");
   }

@@ -7,7 +7,7 @@ namespace mks {
 SegmentManager::SegmentManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                                QuotaCellManager* quota, PageFrameManager* pfm)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kSegment)),
+      self_(ctx->scopes.Register(module_names::kSegment)),
       core_segs_(core_segs),
       quota_(quota),
       pfm_(pfm),
@@ -20,7 +20,7 @@ SegmentManager::SegmentManager(KernelContext* ctx, CoreSegmentManager* core_segs
       ev_deactivate_(ctx->trace.InternEvent("seg.deactivate")) {}
 
 Status SegmentManager::Init(uint32_t ast_slots) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   // Budget the AST region: one page-table's worth of words per slot plus
   // entry overhead, held in permanently resident core.
   const uint64_t words = static_cast<uint64_t>(ast_slots) * (kMaxSegmentPages + 16);
@@ -63,7 +63,7 @@ Result<uint32_t> SegmentManager::AllocateSlot() {
 
 Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex vtoc,
                                           QuotaCellId cell) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 4);
   if (by_uid_.count(uid) != 0) {
     return Status(Code::kAlreadyExists, "segment already active");
@@ -105,7 +105,7 @@ Result<uint32_t> SegmentManager::Activate(SegmentUid uid, PackId pack, VtocIndex
 
 Result<uint32_t> SegmentManager::EnsureActive(SegmentUid uid, PackId pack, VtocIndex vtoc,
                                               QuotaCellId cell) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto it = by_uid_.find(uid);
   if (it != by_uid_.end()) {
     ast_[it->second].lru_stamp = ++lru_counter_;
@@ -115,7 +115,7 @@ Result<uint32_t> SegmentManager::EnsureActive(SegmentUid uid, PackId pack, VtocI
 }
 
 Status SegmentManager::Deactivate(uint32_t slot) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (slot >= ast_.size() || !ast_[slot].in_use) {
     return Status(Code::kInvalidArgument, "bad AST index");
   }
@@ -160,7 +160,7 @@ uint32_t SegmentManager::FindIndex(SegmentUid uid) const {
 }
 
 Status SegmentManager::GrowSegment(uint32_t slot, uint32_t page) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
@@ -187,7 +187,7 @@ Status SegmentManager::GrowSegment(uint32_t slot, uint32_t page) {
 
 Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, ProcessId initiator,
                                           WaitSpec* wait) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
     return Status(Code::kInvalidArgument, "bad AST index");
@@ -198,7 +198,7 @@ Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, ProcessI
 }
 
 Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
     return Status(Code::kInvalidArgument, "bad AST index");

@@ -84,8 +84,7 @@ class SharedSection {
   SharedSection(SimSharedLock* lock, KernelContext* ctx, Kind kind,
                 const ReadMostlyInstruments& ins)
       : ctx_(ctx), ins_(ins), kind_(kind),
-        prof_scope_(&ctx->prof, kind == Kind::kRead ? ins.read_domain
-                                                    : ins.write_domain) {
+        scope_(&ctx->scopes, kind == Kind::kRead ? ins.read_domain : ins.write_domain) {
     if (!lock->modeled()) {
       return;
     }
@@ -100,7 +99,7 @@ class SharedSection {
       spin_ = lock->AcquireRead(lnow_, cpu_);
       ctx->metrics.Inc(ins.id_read_sections);
       if (spin_ > 0) {
-        ChargeLockWait(ctx->cost, &ctx->prof, spin_, /*handoff=*/0);
+        ChargeLockWait(ctx->cost, &ctx->scopes, spin_, /*handoff=*/0);
         ctx->metrics.Inc(ins.id_read_spin_cycles, spin_);
       }
       ctx->trace.Instant(ins.ev_read_grant, cpu_, static_cast<uint32_t>(spin_));
@@ -111,7 +110,7 @@ class SharedSection {
       if (grant.total > 0) {
         // The gap to the last reader/writer is the wait; the revocation,
         // publish and grace traffic is the grant's handoff.
-        ChargeLockWait(ctx->cost, &ctx->prof, grant.total,
+        ChargeLockWait(ctx->cost, &ctx->scopes, grant.total,
                        grant.revocation_cycles + grant.publish_cycles + grant.grace_cycles);
         ctx->metrics.Inc(ins.id_write_spin_cycles, grant.total);
       }
@@ -161,8 +160,8 @@ class SharedSection {
   const ReadMostlyInstruments& ins_;
   Kind kind_;
   // Spans the whole section (acquire, body, release), so everything charged
-  // inside lands under the manager's read/write domain.
-  Prof::Scope prof_scope_;
+  // inside lands in the manager's read/write cell.
+  ManagerScope scope_;
   SimSharedLock* lock_ = nullptr;  // null: un-modeled, fully inert
   bool nested_ = false;
   uint16_t cpu_ = 0;

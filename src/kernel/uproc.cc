@@ -13,7 +13,7 @@ UserProcessManager::UserProcessManager(KernelContext* ctx, CoreSegmentManager* c
                                        SegmentManager* segs, KnownSegmentManager* ksm,
                                        KernelGates* gates)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kUserProcess)),
+      self_(ctx->scopes.Register(module_names::kUserProcess)),
       core_segs_(core_segs),
       vpm_(vpm),
       pfm_(pfm),
@@ -45,13 +45,13 @@ void UserProcessManager::ConfigureDispatch(const DispatchConfig& config) {
   ready_list_.lock.Configure(lock_policy);
   if (dcfg_.sharded_runqueues) {
     rq_ = std::make_unique<RunQueueSet>(ctx_->smp.count(), dcfg_.steal, dcfg_.connect_cost,
-                                        &ctx_->cost, &ctx_->metrics, &ctx_->trace,
-                                        lock_policy, &ctx_->prof);
+                                        &ctx_->cost, &ctx_->metrics, &ctx_->scopes,
+                                        lock_policy);
   }
 }
 
 Status UserProcessManager::Init() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto seg = core_segs_->Allocate("upward_message_queue", 1);
   if (!seg.ok()) {
     return seg.status();
@@ -62,7 +62,7 @@ Status UserProcessManager::Init() {
 }
 
 Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (slab_ && !free_slots_.empty()) {
     // Slab fast path: the parked slot already owns a KST and a state
     // segment; only the slot bookkeeping is rebuilt — one call's worth of
@@ -108,7 +108,7 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
 }
 
 Status UserProcessManager::DestroyProcess(ProcessId pid) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   auto it = procs_.find(pid);
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
@@ -154,7 +154,7 @@ Status UserProcessManager::ReleaseSlot(ProcessId pid, Segno state_segno) {
 }
 
 Status UserProcessManager::DrainSlabs() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   while (!free_slots_.empty()) {
     const FreeSlot slot = free_slots_.back();
     free_slots_.pop_back();
@@ -309,7 +309,7 @@ void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // what serializes dispatch-rate-bound workloads.
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
   const LockedLine::Touch t =
-      ready_list_.Acquire(cpu, lnow, dcfg_.connect_cost, ctx_->cost, &ctx_->prof);
+      ready_list_.Acquire(cpu, lnow, dcfg_.connect_cost, ctx_->cost, &ctx_->scopes);
   if (t.spin > 0) {
     ctx_->metrics.Inc(id_list_lock_spin_cycles_, t.spin);
   }
@@ -365,9 +365,9 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   proc.last_cpu = cpu;
 
   // The quantum proper: state swap-in, the op loop, and the requeue tail.
-  // Deeper domains (gate, fault-service, naming sections) nest inside; the
+  // Deeper cells (gate, fault-service, naming sections) nest inside; the
   // vp/process-switch charges above stay on the window's dispatch root.
-  Prof::Scope quantum_scope(&ctx_->prof, ProfDomain::kUprocQuantum);
+  ManagerScope quantum_scope(&ctx_->scopes, self_, ProfDomain::kUprocQuantum);
 
   Status in = SwapStateIn(proc);
   if (in.code() == Code::kBlocked) {
@@ -386,7 +386,7 @@ UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& pr
   for (uint32_t n = 0; n < quantum_ && proc.pc < proc.program.size(); ++n) {
     // User code runs in the user domain; its references enter the kernel
     // afresh through the fault dispatcher.
-    CallTracker::SignalScope user_domain(&ctx_->tracker);
+    ManagerScope user_domain(&ctx_->scopes, kBarrier);
     Status st = ExecOneOp(proc);
     if (st.ok()) {
       ++proc.pc;
@@ -527,7 +527,7 @@ bool UserProcessManager::DispatchSharded() {
 }
 
 bool UserProcessManager::SchedulerPass() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   bool did_work = false;
 
   // Level-1 activity first: device completions, daemons.  System tasks run
@@ -537,6 +537,7 @@ bool UserProcessManager::SchedulerPass() {
   ctx_->AnchorWindow();
   Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
   const Cycles level1_start = ctx_->clock.now();
+  ManagerScope level1_span(&ctx_->scopes, TraceSpan{.event = ev_level1_, .on_end = true});
   sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
   if (vpm_->RunKernelTasks()) {
     did_work = true;
@@ -575,7 +576,7 @@ bool UserProcessManager::SchedulerPass() {
 
   if (const Cycles level1 = ctx_->clock.now() - level1_start; level1 > 0) {
     ctx_->smp.Accrue(0, level1);
-    ctx_->trace.CloseSpan(level1_start, ev_level1_, 0, 0);
+    level1_span.EndSpan();
   }
   level1_window.Close();
 
@@ -641,7 +642,7 @@ void UserProcessManager::DumpStallAndAbort(uint64_t pass) {
                static_cast<unsigned long long>(ctx_->clock.now()),
                static_cast<unsigned long long>(pass));
 
-  std::fprintf(stderr, "---- profiler domain trees ----\n");
+  std::fprintf(stderr, "---- profiler cell trees (manager:activity) ----\n");
   ctx_->prof.DumpTree(stderr);
 
   std::fprintf(stderr, "---- scheduler locks ----\n");

@@ -114,9 +114,6 @@ class UserProcessManager {
   // Ops each dispatched process may run before being preempted.
   void set_quantum(uint32_t quantum) { quantum_ = quantum; }
 
-  // The sharded run queues, or nullptr in legacy (global-list) mode.
-  const RunQueueSet* run_queues() const { return rq_.get(); }
-
   // The modelled global ready-list lock (contended only in legacy dispatch
   // mode with interconnect costs on), for lock-policy sweeps.
   const SimSpinLock& list_lock() const { return ready_list_.lock; }

@@ -14,7 +14,7 @@ constexpr uint32_t kStateRecordWords = 256;
 VirtualProcessorManager::VirtualProcessorManager(KernelContext* ctx,
                                                  CoreSegmentManager* core_segs)
     : ctx_(ctx),
-      self_(ctx->tracker.Register(module_names::kVproc)),
+      self_(ctx->scopes.Register(module_names::kVproc)),
       core_segs_(core_segs),
       id_pool_size_(ctx->metrics.Intern("vproc.pool_size")),
       id_dispatches_(ctx->metrics.Intern("vproc.dispatches")),
@@ -25,7 +25,7 @@ VirtualProcessorManager::VirtualProcessorManager(KernelContext* ctx,
       ev_kernel_task_(ctx->trace.InternEvent("vp.kernel_task")) {}
 
 Status VirtualProcessorManager::Init(uint16_t vp_count) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   const uint32_t words = vp_count * kStateRecordWords;
   const uint32_t pages = (words + kPageWords - 1) / kPageWords;
   auto seg = core_segs_->Allocate("vp_states", pages == 0 ? 1 : pages);
@@ -51,7 +51,7 @@ void VirtualProcessorManager::StoreState(VpId vp) {
 }
 
 Result<VpId> VirtualProcessorManager::BindKernelTask(std::string name, KernelTask task) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   for (uint16_t i = 0; i < vps_.size(); ++i) {
     Vp& v = vps_[i];
     if (!v.kernel_bound && v.state == VpState::kIdle) {
@@ -83,7 +83,7 @@ Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
   StoreState(VpId(i));
   // Vp switch and state-record migration are dispatch overhead, whatever the
   // caller is doing; keep them off the quantum/fault domains.
-  Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
+  const ManagerScope sw(&ctx_->scopes, ProfDomain::kDispatch);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
   // Loading a state record last resident in another CPU's cache pays one
   // interconnect transfer.  Free at connect cost 0 (the legacy model) and
@@ -100,7 +100,7 @@ Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
 }
 
 Result<VpId> VirtualProcessorManager::AcquireIdleUserVp() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   const uint16_t n = static_cast<uint16_t>(vps_.size());
   for (uint16_t step = 0; step < n; ++step) {
     const uint16_t i = static_cast<uint16_t>((acquire_cursor_ + step) % n);
@@ -113,7 +113,7 @@ Result<VpId> VirtualProcessorManager::AcquireIdleUserVp() {
 }
 
 Result<VpId> VirtualProcessorManager::AcquireIdleUserVp(uint16_t prefer_cpu) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   const uint16_t n = static_cast<uint16_t>(vps_.size());
   // First choice: an idle vp already warm on the preferred CPU, scanned in
   // fixed index order for determinism.
@@ -123,19 +123,12 @@ Result<VpId> VirtualProcessorManager::AcquireIdleUserVp(uint16_t prefer_cpu) {
       return TakeUserVp(i);
     }
   }
-  // Otherwise the rotating cursor, as the non-affine path does.
-  for (uint16_t step = 0; step < n; ++step) {
-    const uint16_t i = static_cast<uint16_t>((acquire_cursor_ + step) % n);
-    Vp& v = vps_[i];
-    if (!v.kernel_bound && v.state == VpState::kIdle) {
-      return TakeUserVp(i);
-    }
-  }
-  return Status(Code::kResourceExhausted, "no idle virtual processor");
+  // Otherwise the rotating cursor of the non-affine path.
+  return AcquireIdleUserVp();
 }
 
 void VirtualProcessorManager::ReleaseUserVp(VpId vp) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   Vp& v = vps_[vp.value];
   assert(!v.kernel_bound);
   v.state = VpState::kIdle;
@@ -143,7 +136,7 @@ void VirtualProcessorManager::ReleaseUserVp(VpId vp) {
 }
 
 bool VirtualProcessorManager::Await(VpId vp, EventcountId ec, uint64_t target) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   if (ctx_->eventcounts.AwaitOrEnqueue(ec, target, vp)) {
     return true;
   }
@@ -153,7 +146,7 @@ bool VirtualProcessorManager::Await(VpId vp, EventcountId ec, uint64_t target) {
 }
 
 void VirtualProcessorManager::Advance(EventcountId ec) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   uint32_t woken = 0;
   for (VpId vp : ctx_->eventcounts.Advance(ec)) {
     Vp& v = vps_[vp.value];
@@ -164,50 +157,44 @@ void VirtualProcessorManager::Advance(EventcountId ec) {
   ctx_->trace.Instant(ev_ec_advance_, ec.value, woken);
 }
 
+bool VirtualProcessorManager::RunTaskOn(uint16_t i) {
+  Vp& v = vps_[i];
+  v.state = VpState::kRunning;
+  {
+    const ManagerScope sw(&ctx_->scopes, ProfDomain::kDispatch);
+    ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
+  }
+  bool did_work = false;
+  {
+    ManagerScope task(&ctx_->scopes, TraceSpan{.event = ev_kernel_task_, .proc = i});
+    did_work = v.task();
+    task.set_span_arg(did_work ? 1 : 0);
+  }
+  if (v.state == VpState::kRunning) {
+    v.state = VpState::kReady;
+  }
+  StoreState(VpId(i));
+  return did_work;
+}
+
 bool VirtualProcessorManager::RunKernelTasks() {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   bool any_work = false;
   for (uint16_t i = 0; i < vps_.size(); ++i) {
-    Vp& v = vps_[i];
-    if (v.kernel_bound && v.state == VpState::kReady) {
-      v.state = VpState::kRunning;
-      {
-        Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
-        ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
-      }
-      const Cycles task_begin = ctx_->trace.Begin();
-      const bool did_work = v.task();
-      ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
-      any_work = any_work || did_work;
-      if (v.state == VpState::kRunning) {
-        v.state = VpState::kReady;
-      }
-      StoreState(VpId(i));
+    if (vps_[i].kernel_bound && vps_[i].state == VpState::kReady && RunTaskOn(i)) {
+      any_work = true;
     }
   }
   return any_work;
 }
 
 bool VirtualProcessorManager::RunKernelTask(std::string_view name) {
-  CallTracker::Scope scope(&ctx_->tracker, self_);
+  ManagerScope scope(&ctx_->scopes, self_);
   for (uint16_t i = 0; i < vps_.size(); ++i) {
-    Vp& v = vps_[i];
-    if (!v.kernel_bound || v.name != name || v.state != VpState::kReady) {
-      continue;
+    const Vp& v = vps_[i];
+    if (v.kernel_bound && v.name == name && v.state == VpState::kReady) {
+      return RunTaskOn(i);
     }
-    v.state = VpState::kRunning;
-    {
-      Prof::Scope sw(&ctx_->prof, ProfDomain::kDispatch);
-      ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
-    }
-    const Cycles task_begin = ctx_->trace.Begin();
-    const bool did_work = v.task();
-    ctx_->trace.CloseSpan(task_begin, ev_kernel_task_, i, did_work ? 1 : 0);
-    if (v.state == VpState::kRunning) {
-      v.state = VpState::kReady;
-    }
-    StoreState(VpId(i));
-    return did_work;
   }
   return false;
 }

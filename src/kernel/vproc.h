@@ -98,6 +98,9 @@ class VirtualProcessorManager {
   // Shared tail of both acquisition paths: marks vp `i` running, charges the
   // switch (and the migration transfer when its state last ran elsewhere).
   Result<VpId> TakeUserVp(uint16_t i);
+  // Runs ready kernel vp `i`: the vp switch, the task under a vp.kernel_task
+  // span (arg = did work), then the state store.  Returns the task's result.
+  bool RunTaskOn(uint16_t i);
 
   struct Vp {
     VpState state = VpState::kIdle;

@@ -38,7 +38,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/metrics.h"
 #include "src/sim/prof.h"
-#include "src/sim/trace.h"
+#include "src/sim/scope.h"
 #include "src/sync/spinlock.h"
 
 namespace mks {
@@ -202,21 +202,18 @@ struct LockedLine {
     Cycles held() const { return spin + transfer; }
   };
 
-  // With `trace` set, a contended wait is also recorded as a `spin_event`
-  // span (proc = cpu).
-  Touch Acquire(uint16_t cpu, Cycles lnow, Cycles connect_cost, CostModel& cost, Prof* prof,
-                Tracer* trace = nullptr, TraceEventId spin_event = 0) {
+  // With `spin_event` set, a contended wait is also recorded as a span
+  // (proc = cpu).
+  Touch Acquire(uint16_t cpu, Cycles lnow, Cycles connect_cost, CostModel& cost,
+                ScopeStack* scopes, TraceEventId spin_event = kNoTraceEvent) {
     Touch t;
-    const Cycles spin_begin = trace != nullptr ? trace->Begin() : 0;
     t.spin = lock.Acquire(lnow, cpu);
     if (t.spin > 0) {
-      ChargeLockWait(cost, prof, t.spin, lock.last_acquire_handoff());
-      if (trace != nullptr) {
-        trace->CloseSpan(spin_begin, spin_event, cpu);
-      }
+      ChargeLockWait(cost, scopes, t.spin, lock.last_acquire_handoff(),
+                     TraceSpan{.event = spin_event, .proc = cpu});
     }
     if (connect_cost > 0 && owner != cpu && owner != kNoCpu) {
-      ChargeLockWait(cost, prof, connect_cost, connect_cost);
+      ChargeLockWait(cost, scopes, connect_cost, connect_cost);
       t.transfer = connect_cost;
     }
     owner = cpu;
@@ -255,17 +252,15 @@ class RunQueueSet {
   static constexpr uint16_t kNoCpu = LockedLine::kNoCpu;
 
   RunQueueSet(uint16_t cpu_count, bool steal, Cycles connect_cost, CostModel* cost,
-              Metrics* metrics, Tracer* trace,
-              const LockPolicyConfig& lock_policy = LockPolicyConfig{},
-              Prof* prof = nullptr)
+              Metrics* metrics, ScopeStack* scopes,
+              const LockPolicyConfig& lock_policy = LockPolicyConfig{})
       : steal_(steal),
-        prof_(prof),
         connect_cost_(connect_cost),
         cost_(cost),
         metrics_(metrics),
-        trace_(trace),
-        ev_steal_(trace->InternEvent("runq.steal")),
-        ev_lock_spin_(trace->InternEvent("runq.lock_spin")),
+        scopes_(scopes),
+        ev_steal_(scopes->trace()->InternEvent("runq.steal")),
+        ev_lock_spin_(scopes->trace()->InternEvent("runq.lock_spin")),
         id_steals_(metrics->Intern("runq.steals")),
         id_steal_cycles_(metrics->Intern("runq.steal_cycles")),
         id_transfers_(metrics->Intern("runq.transfers")),
@@ -288,29 +283,6 @@ class RunQueueSet {
     }
   }
 
-  // Shard-lock counters summed across the set, for policy-sweep reporting.
-  struct LockTotals {
-    uint64_t acquisitions = 0;
-    uint64_t contended = 0;
-    Cycles spin_cycles = 0;
-    uint64_t handoffs = 0;
-    Cycles handoff_cycles = 0;
-    uint64_t max_queue_depth = 0;
-  };
-  LockTotals AggregateLockTotals() const {
-    LockTotals t;
-    for (const Shard& s : shards_) {
-      const SimSpinLock& lock = s.line.lock;
-      t.acquisitions += lock.acquisitions();
-      t.contended += lock.contended();
-      t.spin_cycles += lock.total_spin();
-      t.handoffs += lock.handoffs();
-      t.handoff_cycles += lock.handoff_cycles();
-      t.max_queue_depth = std::max(t.max_queue_depth, lock.max_queue_depth());
-    }
-    return t;
-  }
-
   struct Popped {
     bool ok = false;
     bool stolen = false;
@@ -320,7 +292,6 @@ class RunQueueSet {
   };
 
   uint16_t count() const { return static_cast<uint16_t>(shards_.size()); }
-  bool steal_enabled() const { return steal_; }
   size_t depth(uint16_t cpu) const { return shards_[cpu].items.size(); }
   uint16_t line_owner(uint16_t cpu) const { return shards_[cpu].line.owner; }
   const SimSpinLock& shard_lock(uint16_t cpu) const { return shards_[cpu].line.lock; }
@@ -332,14 +303,6 @@ class RunQueueSet {
       }
     }
     return false;
-  }
-
-  size_t TotalQueued() const {
-    size_t n = 0;
-    for (const Shard& s : shards_) {
-      n += s.items.size();
-    }
-    return n;
   }
 
   // True when CPU `cpu` may run an item with `mask` (0 = any CPU).
@@ -394,14 +357,14 @@ class RunQueueSet {
     if (!steal_) {
       return out;
     }
-    Prof::Scope steal_scope(prof_, ProfDomain::kSteal);
+    const ManagerScope steal_scope(scopes_, ProfDomain::kSteal);
     for (uint16_t d = 1; d < count(); ++d) {
       const uint16_t v = static_cast<uint16_t>((cpu + d) % count());
       Shard& victim = shards_[v];
       if (victim.items.empty()) {
         continue;
       }
-      const Cycles steal_begin = trace_->Begin();
+      ManagerScope steal_span(scopes_, TraceSpan{.event = ev_steal_, .arg = v, .on_end = true});
       Cycles held = TouchShard(victim, cpu, lnow);
       bool found = false;
       for (auto it = victim.items.begin(); it != victim.items.end(); ++it) {
@@ -428,7 +391,8 @@ class RunQueueSet {
         metrics_->Inc(id_steal_cycles_, held);
         metrics_->Inc(victim.id_pops);
         victim.line.lock.Release(lnow + held);
-        trace_->CloseSpan(steal_begin, ev_steal_, out.id, v);
+        steal_span.set_span_proc(out.id);
+        steal_span.EndSpan();
         return out;
       }
       victim.line.lock.Release(lnow + held);  // nothing affinity-compatible here
@@ -475,7 +439,7 @@ class RunQueueSet {
   // caller must Release at `lnow + held`.
   Cycles TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
     const LockedLine::Touch t =
-        s.line.Acquire(from_cpu, lnow, connect_cost_, *cost_, prof_, trace_, ev_lock_spin_);
+        s.line.Acquire(from_cpu, lnow, connect_cost_, *cost_, scopes_, ev_lock_spin_);
     if (t.spin > 0) {
       metrics_->Inc(id_lock_spins_);
       metrics_->Inc(id_lock_spin_cycles_, t.spin);
@@ -489,11 +453,10 @@ class RunQueueSet {
   }
 
   bool steal_;
-  Prof* prof_;
   Cycles connect_cost_;
   CostModel* cost_;
   Metrics* metrics_;
-  Tracer* trace_;
+  ScopeStack* scopes_;
   TraceEventId ev_steal_;
   TraceEventId ev_lock_spin_;
   MetricId id_steals_;

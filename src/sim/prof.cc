@@ -1,6 +1,5 @@
 #include "src/sim/prof.h"
 
-#include <algorithm>
 #include <string>
 
 namespace mks {
@@ -18,69 +17,57 @@ std::array<Cycles, kProfDomainCount> Prof::DomainTotals() const {
   return totals;
 }
 
-namespace {
-
-// Depth-first walk emitting one collapsed-stack line per node with self
-// time.  The stack prefix is rebuilt on the way down; sibling order is
-// first-seen (deterministic), so two identical runs export identical text.
-void FoldNode(const std::vector<std::string>& prefix, std::string* out) {
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (i != 0) {
-      out->push_back(';');
-    }
-    out->append(prefix[i]);
+std::map<std::pair<std::string, ProfDomain>, Cycles> Prof::Cells(uint16_t cpu) const {
+  std::map<std::pair<std::string, ProfDomain>, Cycles> cells;
+  if (cpu >= lanes_.size()) {
+    return cells;
   }
+  for (const Node& node : lanes_[cpu].nodes) {
+    if (node.parent == kNoNode || node.self == 0) {
+      continue;  // synthetic root, or a cell that never held cycles
+    }
+    cells[{ManagerName(node.manager), node.domain}] += node.self;
+  }
+  return cells;
 }
 
-}  // namespace
+std::string Prof::ManagerName(ModuleId id) const {
+  if (id == kNoModule) {
+    return std::string();
+  }
+  return id.value < managers_.size() && !managers_[id.value].empty()
+             ? managers_[id.value]
+             : "module" + std::to_string(id.value);
+}
+
+std::string Prof::Label(const Node& node) const {
+  const std::string manager = ManagerName(node.manager);
+  return manager.empty() ? ProfDomainName(node.domain)
+                         : manager + ":" + ProfDomainName(node.domain);
+}
 
 std::string Prof::CollapsedStacks() const {
   std::string out;
-  std::vector<std::string> prefix;
   for (uint16_t cpu = 0; cpu < lanes_.size(); ++cpu) {
-    const Lane& lane = lanes_[cpu];
-    prefix.clear();
-    prefix.push_back("cpu" + std::to_string(cpu));
-    // Iterative DFS over (node, depth); children pushed in reverse sibling
-    // order so they pop first-seen-first.
-    std::vector<std::pair<uint32_t, size_t>> work;
-    std::vector<uint32_t> kids;
-    for (uint32_t n = lane.nodes[0].first_child; n != kNoNode;
-         n = lane.nodes[n].next_sibling) {
-      kids.push_back(n);
-    }
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      work.emplace_back(*it, 1);
-    }
-    while (!work.empty()) {
-      const auto [idx, depth] = work.back();
-      work.pop_back();
+    std::vector<std::string> prefix{"cpu" + std::to_string(cpu)};
+    Walk(lanes_[cpu], 0, 1, [&](const Node& node, int depth) {
       prefix.resize(depth);
-      prefix.push_back(ProfDomainName(lane.nodes[idx].domain));
-      if (lane.nodes[idx].self > 0) {
-        FoldNode(prefix, &out);
-        out.push_back(' ');
-        out.append(std::to_string(lane.nodes[idx].self));
-        out.push_back('\n');
+      prefix.push_back(Label(node));
+      if (node.self > 0) {
+        for (size_t i = 0; i < prefix.size(); ++i) {
+          out += (i == 0 ? "" : ";") + prefix[i];
+        }
+        out += ' ';
+        out += std::to_string(node.self) + '\n';
       }
-      kids.clear();
-      for (uint32_t n = lane.nodes[idx].first_child; n != kNoNode;
-           n = lane.nodes[n].next_sibling) {
-        kids.push_back(n);
-      }
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-        work.emplace_back(*it, depth + 1);
-      }
-    }
+    });
   }
   return out;
 }
 
 void Prof::DumpTree(FILE* out) const {
   if (!enabled_) {
-    std::fprintf(out,
-                 "  profiler disabled (set KernelConfig::profile.enabled "
-                 "for domain trees)\n");
+    std::fprintf(out, "  profiler disabled (set KernelConfig::profile.enabled for cell trees)\n");
     return;
   }
   for (uint16_t cpu = 0; cpu < lanes_.size(); ++cpu) {
@@ -88,37 +75,13 @@ void Prof::DumpTree(FILE* out) const {
     std::fprintf(out, "  cpu %u: attributed %llu / accrued %llu cycles\n", cpu,
                  static_cast<unsigned long long>(lane.attributed),
                  static_cast<unsigned long long>(lane.accrued));
-    // Recursive print via explicit stack, preserving first-seen order.
-    std::vector<std::pair<uint32_t, int>> work;
-    std::vector<uint32_t> kids;
-    for (uint32_t n = lane.nodes[0].first_child; n != kNoNode;
-         n = lane.nodes[n].next_sibling) {
-      kids.push_back(n);
-    }
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      work.emplace_back(*it, 1);
-    }
-    while (!work.empty()) {
-      const auto [idx, depth] = work.back();
-      work.pop_back();
-      const Node& node = lane.nodes[idx];
-      const double share =
-          lane.attributed > 0
-              ? 100.0 * static_cast<double>(node.self) /
-                    static_cast<double>(lane.attributed)
-              : 0.0;
+    Walk(lane, 0, 1, [&](const Node& node, int depth) {
+      const double share = lane.attributed > 0 ? 100.0 * static_cast<double>(node.self) /
+                                                     static_cast<double>(lane.attributed)
+                                               : 0.0;
       std::fprintf(out, "  %*s%-16s %12llu  (%5.1f%% self)\n", depth * 2, "",
-                   ProfDomainName(node.domain),
-                   static_cast<unsigned long long>(node.self), share);
-      kids.clear();
-      for (uint32_t n = node.first_child; n != kNoNode;
-           n = lane.nodes[n].next_sibling) {
-        kids.push_back(n);
-      }
-      for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-        work.emplace_back(*it, depth + 1);
-      }
-    }
+                   Label(node).c_str(), static_cast<unsigned long long>(node.self), share);
+    });
   }
 }
 

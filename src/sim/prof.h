@@ -1,56 +1,45 @@
 // Per-CPU hierarchical cycle-accounting profiler with a stall watchdog.
 //
-// The simulator answers the paper's central question — *where does the
-// kernel spend its mechanism?* — exactly, not statistically: every cycle is
-// a deterministic Charge on the shared Clock, so attribution can be a
-// bookkeeping overlay with zero sampling error.  The profiler keeps one
-// domain tree per simulated CPU; a RAII `Prof::Scope(domain)` pushes a
-// domain and the virtual-clock delta since the previous push/pop is charged
-// to whatever domain was innermost when the cycles were spent.
+// Every cycle is a deterministic Charge on the shared Clock, so attribution
+// is a bookkeeping overlay with zero sampling error.  The profiler keeps one
+// tree per simulated CPU whose nodes are (manager, activity) cells: a
+// manager is a module of the lattice, an activity one of the ProfDomains
+// below.  Every ManagerScope frame (src/sim/scope.h) enters a cell, and the
+// virtual-clock delta since the previous enter/leave is charged to the
+// innermost cell — so a tree path reads as a manager path, and summing the
+// cells over managers gives the per-activity DomainTotals.
 //
-// The hard invariant (asserted in tests/prof_test.cc): per CPU,
+// The hard invariant (tests/prof_test.cc): per CPU, attributed cycles ==
+// that CPU's local clock advance.  Local clocks move only through
+// CpuInterleave's Accrue, AdvanceAll and AlignAll, and the profiler hooks all
+// three.  A `Prof::Window` brackets each accrual window (opened where the
+// kernel calls KernelContext::AnchorWindow, closed after the matching
+// Accrue) and attributes only the frames entered after it opened; frames
+// entered with no window open stay inert, so construction-time work never
+// pollutes the trees.  AdvanceAll/AlignAll deltas go to `idle` on both sides
+// of the ledger.  Disabled, every entry point early-returns on one branch.
 //
-//     attributed cycles  ==  that CPU's local clock advance
-//
-// Local clocks move in exactly three ways — CpuInterleave::Accrue (a
-// dispatch window's global-clock delta is charged to one CPU),
-// AdvanceAll (pool-wide idle to the next event), and AlignAll (per-CPU
-// catch-up gaps to the makespan).  The profiler hooks all three:
-//
-//  * A `Prof::Window` brackets each accrual window (opened where the kernel
-//    calls KernelContext::AnchorWindow, closed after the matching Accrue).
-//    While a window is open, scope pushes/pops attribute every global-clock
-//    delta to the innermost domain; with no window open, scopes are inert,
-//    so construction-time work — charged to the clock but never accrued to
-//    any CPU — never pollutes the per-CPU trees.
-//  * AdvanceAll and AlignAll deltas are charged to the `idle` domain on
-//    both sides of the ledger.
-//
-// With `ProfConfig::enabled == false` every entry point early-returns on one
-// branch and no state is touched — the tracer's byte-identical-when-off
-// discipline.
-//
-// The stall watchdog is independent of attribution (it works with the
-// profiler disabled, so benches arm it without perturbing output): the
-// scheduler reports a monotonic progress stamp (quanta run + device
-// completions + wakeups) once per dispatch round, and when the stamp freezes
-// for `stall_rounds` consecutive rounds the caller is told to dump its
-// flight recorder and abort.  The stamp — not the raw clock — is the frozen
-// quantity in every reachable hang: per-round bookkeeping (vp state stores)
-// always advances the clock a few cycles, so a component that claims work
-// while doing none livelocks with the clock creeping and only the progress
-// stamp pinned.  The watchdog turns that silent burn of the pass budget into
-// an actionable dump at the first `stall_rounds` barren rounds.
+// The stall watchdog is independent of attribution (benches arm it without
+// perturbing output): the scheduler reports a monotonic progress stamp
+// (quanta run + device completions + wakeups) once per dispatch round, and
+// when it freezes for `stall_rounds` consecutive rounds the caller dumps its
+// flight recorder and aborts.  The stamp — not the raw clock — is what
+// freezes in every reachable hang: per-round vp state stores always advance
+// the clock a few cycles, so a livelock shows the clock creeping and only
+// the progress stamp pinned.
 #ifndef MKS_SIM_PROF_H_
 #define MKS_SIM_PROF_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/sim/clock.h"
 
 namespace mks {
@@ -74,6 +63,9 @@ enum class ProfDomain : uint8_t {
 };
 
 inline constexpr size_t kProfDomainCount = 12;
+
+// A frame that names no activity keeps the enclosing cell's.
+inline constexpr ProfDomain kInheritActivity = static_cast<ProfDomain>(kProfDomainCount);
 
 inline const char* ProfDomainName(ProfDomain d) {
   static constexpr const char* kNames[kProfDomainCount] = {
@@ -112,6 +104,7 @@ class Prof {
   }
 
   bool enabled() const { return enabled_; }
+  bool in_window() const { return cur_ != kNoNode; }
   uint16_t cpu_count() const { return static_cast<uint16_t>(lanes_.size()); }
 
   // ---- accrual windows -----------------------------------------------
@@ -119,21 +112,23 @@ class Prof {
   // Brackets one accrual window on `cpu`: open where the dispatcher anchors
   // the window (KernelContext::AnchorWindow), destroy after the matching
   // CpuInterleave::Accrue.  Everything charged to the global clock in
-  // between is attributed — to `root` by default, to the innermost Scope
-  // when instrumented code pushed one.
+  // between is attributed — to the manager-less `root` cell by default, to
+  // the innermost cell when a frame entered after the window opened.
   class Window {
    public:
-    Window(Prof* prof, uint16_t cpu, ProfDomain root) : prof_(prof) {
-      if (prof_ == nullptr || !prof_->enabled_) {
-        prof_ = nullptr;
-        return;
+    Window(Prof* prof, uint16_t cpu, ProfDomain root)
+        : prof_(prof != nullptr && prof->enabled_ ? prof : nullptr) {
+      if (prof_ != nullptr) {  // windows never nest: the host is serialized
+        prof_->lane_cpu_ = cpu < prof_->lanes_.size() ? cpu : 0;
+        prof_->cur_ = prof_->FindOrAddChild(prof_->lanes_[prof_->lane_cpu_], 0, kNoModule, root);
+        prof_->mark_ = prof_->clock_->now();
       }
-      prof_->OpenWindow(cpu, root);
     }
-    // Idempotent early close, for windows that end mid-scope.
+    // Idempotent early close.
     void Close() {
       if (prof_ != nullptr) {
-        prof_->CloseWindow();
+        prof_->Attribute();
+        prof_->cur_ = kNoNode;
         prof_ = nullptr;
       }
     }
@@ -145,31 +140,47 @@ class Prof {
     Prof* prof_;
   };
 
-  // RAII domain push.  Inert (one branch) when profiling is off, when no
-  // window is open, or when `prof` is null (sim-layer components that may
-  // run without a kernel pass nullptr).
-  class Scope {
-   public:
-    Scope(Prof* prof, ProfDomain domain) : prof_(prof) {
-      if (prof_ == nullptr || !prof_->InWindow()) {
-        prof_ = nullptr;
-        return;
-      }
-      prof_->PushScope(domain);
-    }
-    ~Scope() {
-      if (prof_ != nullptr) {
-        prof_->PopScope();
-      }
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
+  // ---- frame hooks (driven by ManagerScope, src/sim/scope.h) -----------
 
-   private:
-    Prof* prof_;
-  };
+  static constexpr uint32_t kNoNode = 0xffffffffu;
 
-  bool InWindow() const { return enabled_ && !stack_.empty(); }
+  // Enters the (manager, activity) cell under the current one; kNoModule
+  // and kInheritActivity keep the current cell's manager and activity, and
+  // an unchanged cell collapses onto the current node.  Returns the node
+  // Leave resumes — kNoNode (inert) when no window is open.
+  uint32_t Enter(ModuleId manager, ProfDomain activity) {
+    if (cur_ == kNoNode) {
+      return kNoNode;
+    }
+    Attribute();
+    const uint32_t resume = cur_;
+    Lane& lane = lanes_[lane_cpu_];
+    const Node& top = lane.nodes[cur_];
+    manager = manager == kNoModule ? top.manager : manager;
+    activity = activity == kInheritActivity ? top.domain : activity;
+    if (manager != top.manager || activity != top.domain) {
+      cur_ = FindOrAddChild(lane, cur_, manager, activity);
+    }
+    return resume;
+  }
+
+  // Leaves a cell entered by Enter.  Frames nest inside their window, so a
+  // live `resume` always belongs to the open window.
+  void Leave(uint32_t resume) {
+    if (resume == kNoNode || cur_ == kNoNode) {
+      return;
+    }
+    Attribute();
+    cur_ = resume;
+  }
+
+  // Labels manager `id` in the folded stacks and tree dumps.
+  void NameManager(ModuleId id, std::string_view name) {
+    if (managers_.size() <= id.value) {
+      managers_.resize(id.value + 1);
+    }
+    managers_[id.value] = name;
+  }
 
   // ---- CpuInterleave hooks -------------------------------------------
 
@@ -234,17 +245,22 @@ class Prof {
   // Self-cycles summed per domain across all CPUs.
   std::array<Cycles, kProfDomainCount> DomainTotals() const;
 
+  // Self-cycles per (manager, activity) cell on `cpu`; the manager is ""
+  // for cycles charged outside every module frame.
+  std::map<std::pair<std::string, ProfDomain>, Cycles> Cells(uint16_t cpu) const;
+
   // Collapsed-stack flamegraph text: one line per tree node with nonzero
-  // self time, "cpu0;dispatch;lock-spin 1234\n" (flamegraph.pl format).
+  // self time, each node labelled "manager:activity" (bare "activity" for a
+  // manager-less cell), e.g. "cpu0;dispatch;gate_keeper:gate 1234\n"
+  // (flamegraph.pl format).
   std::string CollapsedStacks() const;
 
-  // Human-readable per-CPU domain trees (the stall dump's first section).
+  // Human-readable per-CPU cell trees (the stall dump's first section).
   void DumpTree(FILE* out) const;
 
  private:
-  static constexpr uint32_t kNoNode = 0xffffffffu;
-
   struct Node {
+    ModuleId manager = kNoModule;
     ProfDomain domain = ProfDomain::kIdle;  // unused on the synthetic root
     uint32_t parent = kNoNode;
     uint32_t first_child = kNoNode;
@@ -260,26 +276,26 @@ class Prof {
   };
 
   // Attributes the global-clock delta since the last attribution event to
-  // the innermost open domain.  Only called with a window open.
+  // the innermost open cell.  Only called with a window open.
   void Attribute() {
     const Cycles now = clock_->now();
     if (now > mark_) {
       Lane& lane = lanes_[lane_cpu_];
-      lane.nodes[stack_.back()].self += now - mark_;
+      lane.nodes[cur_].self += now - mark_;
       lane.attributed += now - mark_;
     }
     mark_ = now;
   }
 
-  uint32_t FindOrAddChild(Lane& lane, uint32_t parent, ProfDomain domain) {
+  uint32_t FindOrAddChild(Lane& lane, uint32_t parent, ModuleId manager, ProfDomain domain) {
     for (uint32_t n = lane.nodes[parent].first_child; n != kNoNode;
          n = lane.nodes[n].next_sibling) {
-      if (lane.nodes[n].domain == domain) {
+      if (lane.nodes[n].manager == manager && lane.nodes[n].domain == domain) {
         return n;
       }
     }
     const uint32_t idx = static_cast<uint32_t>(lane.nodes.size());
-    lane.nodes.push_back(Node{domain, parent, kNoNode, kNoNode, 0});
+    lane.nodes.push_back(Node{manager, domain, parent, kNoNode, kNoNode, 0});
     // Append at the tail so sibling order is first-seen — deterministic.
     uint32_t* link = &lane.nodes[parent].first_child;
     while (*link != kNoNode) {
@@ -289,43 +305,23 @@ class Prof {
     return idx;
   }
 
-  void OpenWindow(uint16_t cpu, ProfDomain root) {
-    if (cpu >= lanes_.size()) {
-      cpu = 0;
+  // Visits the cells under `node` depth-first, siblings in first-seen order,
+  // so two identical runs export identical text.
+  template <typename Visit>
+  static void Walk(const Lane& lane, uint32_t node, int depth, const Visit& visit) {
+    for (uint32_t n = lane.nodes[node].first_child; n != kNoNode; n = lane.nodes[n].next_sibling) {
+      visit(lane.nodes[n], depth);
+      Walk(lane, n, depth + 1, visit);
     }
-    // Windows never nest: each accrual window closes before the next opens
-    // (the host interleaving is serialized).
-    stack_.clear();
-    lane_cpu_ = cpu;
-    stack_.push_back(FindOrAddChild(lanes_[cpu], 0, root));
-    mark_ = clock_->now();
   }
 
-  void CloseWindow() {
-    Attribute();
-    stack_.clear();
-  }
-
-  void PushScope(ProfDomain domain) {
-    Attribute();
-    const uint32_t top = stack_.back();
-    Lane& lane = lanes_[lane_cpu_];
-    // Same-domain self-nesting collapses onto the current node, so
-    // recursive sections (e.g. nested SharedSections) don't grow chains.
-    stack_.push_back(lane.nodes[top].domain == domain && top != 0
-                         ? top
-                         : FindOrAddChild(lane, top, domain));
-  }
-
-  void PopScope() {
-    Attribute();
-    stack_.pop_back();
-  }
+  std::string ManagerName(ModuleId id) const;  // "" for kNoModule
+  std::string Label(const Node& node) const;     // "manager:activity"
 
   void ChargeIdle(uint16_t cpu, Cycles delta) {
     Lane& lane = lanes_[cpu];
     if (lane.idle == kNoNode) {
-      lane.idle = FindOrAddChild(lane, 0, ProfDomain::kIdle);
+      lane.idle = FindOrAddChild(lane, 0, kNoModule, ProfDomain::kIdle);
     }
     lane.nodes[lane.idle].self += delta;
     lane.attributed += delta;
@@ -335,34 +331,18 @@ class Prof {
   const Clock* clock_;
   bool enabled_ = false;
   std::vector<Lane> lanes_;
+  std::vector<std::string> managers_;  // manager labels, by ModuleId
 
   // Current window (at most one open at a time; host is single-threaded).
   uint16_t lane_cpu_ = 0;
   Cycles mark_ = 0;
-  std::vector<uint32_t> stack_;  // node indices into lanes_[lane_cpu_]
+  uint32_t cur_ = kNoNode;  // innermost cell in lanes_[lane_cpu_]; kNoNode: no window
 
   // Watchdog.
   uint64_t stall_rounds_ = 0;
   uint64_t stalled_rounds_ = 0;
   uint64_t last_round_stamp_ = ~uint64_t{0};
 };
-
-// Charges one lock wait to `cost` as optimized code: `spin` cycles in all,
-// of which `handoff` (clamped to `spin`) is the grant's coherence traffic.
-// The profiler sees the gap to the holder's release as lock-spin and the
-// traffic as lock-handoff; the two charges advance the clock by exactly
-// `spin`.  Every lock site charges its waits through here.
-inline void ChargeLockWait(CostModel& cost, Prof* prof, Cycles spin, Cycles handoff) {
-  handoff = std::min(handoff, spin);
-  if (spin > handoff) {
-    Prof::Scope wait(prof, ProfDomain::kLockSpin);
-    cost.Charge(CodeStyle::kOptimized, spin - handoff);
-  }
-  if (handoff > 0) {
-    Prof::Scope grant(prof, ProfDomain::kLockHandoff);
-    cost.Charge(CodeStyle::kOptimized, handoff);
-  }
-}
 
 }  // namespace mks
 

@@ -1,5 +1,6 @@
-// Virtual-time kernel tracer: per-CPU bounded event rings with a scoped-span
-// API, plus a Chrome trace-event exporter.
+// Virtual-time kernel tracer: per-CPU bounded event rings, instants and
+// spans, plus a Chrome trace-event exporter.  Scoped spans are recorded by
+// ManagerScope (src/sim/scope.h), the one annotation at manager boundaries.
 //
 // Every record is stamped with the *global* virtual clock — the one total
 // order all simulated work already shares — rather than the per-CPU local
@@ -36,6 +37,7 @@ namespace mks {
 
 // Stable handle for one event name; valid for the lifetime of the Tracer.
 using TraceEventId = uint32_t;
+inline constexpr TraceEventId kNoTraceEvent = UINT32_MAX;
 
 struct TraceConfig {
   bool enabled = false;
@@ -110,10 +112,10 @@ class Tracer {
     Push(TraceRecord{clock_->now(), 0, event, proc, arg, cpu_});
   }
 
-  // Closes a span opened at `begin` (callers capture clock->now() — or
-  // Tracer::Begin() — before the work).  When `hist` is given, the duration
-  // also lands in that Metrics histogram, so percentile readback works even
-  // after the ring has wrapped.
+  // Closes a span opened at `begin` (Tracer::Begin() captured before the
+  // work; ManagerScope does both ends for a span that starts with a scope).
+  // When `hist` is given, the duration also lands in that Metrics histogram,
+  // so percentile readback works even after the ring has wrapped.
   void CloseSpan(Cycles begin, TraceEventId event, uint32_t proc = 0,
                  uint32_t arg = 0, HistId hist = kNoHist) {
     if (!enabled_) {
@@ -129,26 +131,6 @@ class Tracer {
 
   // Span start stamp; 0 when disabled so dead stamps cost one branch.
   Cycles Begin() const { return enabled_ ? clock_->now() : 0; }
-
-  // RAII span: records on destruction with the duration since construction.
-  class Span {
-   public:
-    Span(Tracer* tracer, TraceEventId event, uint32_t proc = 0,
-         uint32_t arg = 0, HistId hist = kNoHist)
-        : tracer_(tracer), begin_(tracer->Begin()), event_(event), proc_(proc),
-          arg_(arg), hist_(hist) {}
-    ~Span() { tracer_->CloseSpan(begin_, event_, proc_, arg_, hist_); }
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-
-   private:
-    Tracer* tracer_;
-    Cycles begin_;
-    TraceEventId event_;
-    uint32_t proc_;
-    uint32_t arg_;
-    HistId hist_;
-  };
 
   uint16_t cpu_count() const { return static_cast<uint16_t>(rings_.size()); }
 

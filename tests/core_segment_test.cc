@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/kernel/vproc.h"
+#include "tests/kernel_fixture.h"
 
 namespace mks {
 namespace {
@@ -84,7 +85,7 @@ TEST(Vproc, FixedPoolAndKernelBinding) {
 TEST(Vproc, PoolExhaustsAtFixedSize) {
   VprocFixture fx;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(fx.vpm.BindKernelTask("t" + std::to_string(i), [] { return false; }).ok());
+    ASSERT_TRUE(fx.vpm.BindKernelTask(Numbered("t", i), [] { return false; }).ok());
   }
   EXPECT_EQ(fx.vpm.BindKernelTask("extra", [] { return false; }).code(),
             Code::kResourceExhausted);

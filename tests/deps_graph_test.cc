@@ -1,9 +1,9 @@
-// Tests for the dependency-structure analyzer: SCCs, layers, the runtime
-// call tracker, and the signal scope.
+// Tests for the dependency-structure analyzer: SCCs, layers, and the runtime
+// call tracker as ManagerScope frames feed it, barrier frames included.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/deps/tracker.h"
+#include "src/sim/scope.h"
 
 namespace mks {
 namespace {
@@ -75,7 +75,7 @@ TEST_P(RandomDagTest, LayersRespectEdgesAndBackEdgeCreatesLoop) {
   DependencyGraph g;
   constexpr int kNodes = 24;
   for (int i = 0; i < kNodes; ++i) {
-    g.AddModule("m" + std::to_string(i));
+    g.AddModule(std::string("m").append(std::to_string(i)));
   }
   struct Edge {
     int from, to;
@@ -110,14 +110,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagTest,
 
 TEST(CallTracker, RecordsNestedCallsOnly) {
   CallTracker tracker;
-  const ModuleId a = tracker.Register("a");
-  const ModuleId b = tracker.Register("b");
-  const ModuleId c = tracker.Register("c");
+  ScopeStack scopes(&tracker, nullptr, nullptr);
+  const ModuleId a = scopes.Register("a");
+  const ModuleId b = scopes.Register("b");
+  const ModuleId c = scopes.Register("c");
   {
-    CallTracker::Scope sa(&tracker, a);
+    ManagerScope sa(&scopes, a);
     {
-      CallTracker::Scope sb(&tracker, b);
-      CallTracker::Scope sc(&tracker, c);
+      ManagerScope sb(&scopes, b);
+      ManagerScope sc(&scopes, c);
     }
   }
   const DependencyGraph& observed = tracker.observed();
@@ -128,39 +129,44 @@ TEST(CallTracker, RecordsNestedCallsOnly) {
 
 TEST(CallTracker, ReentrantSameModuleRecordsNothing) {
   CallTracker tracker;
-  const ModuleId a = tracker.Register("a");
-  CallTracker::Scope s1(&tracker, a);
-  CallTracker::Scope s2(&tracker, a);
+  ScopeStack scopes(&tracker, nullptr, nullptr);
+  const ModuleId a = scopes.Register("a");
+  ManagerScope s1(&scopes, a);
+  ManagerScope s2(&scopes, a);
   EXPECT_EQ(tracker.observed().edge_count(), 0u);
 }
 
-TEST(CallTracker, SignalScopeSuspendsTheCallerStack) {
+TEST(CallTracker, BarrierSuspendsTheCallerStack) {
   CallTracker tracker;
-  const ModuleId low = tracker.Register("page_frame");
-  const ModuleId high = tracker.Register("directory");
+  ScopeStack scopes(&tracker, nullptr, nullptr);
+  const ModuleId low = scopes.Register("page_frame");
+  const ModuleId high = scopes.Register("directory");
   {
-    CallTracker::Scope in_low(&tracker, low);
+    ManagerScope in_low(&scopes, low);
     // The upward software signal: no activation records left behind, so the
-    // high module's work is observed as a fresh entry, not an edge.
-    CallTracker::SignalScope signal(&tracker);
-    CallTracker::Scope in_high(&tracker, high);
+    // high module's work is observed as a fresh entry, not an edge.  Frames
+    // that name no module (an activity) do not lift the barrier.
+    ManagerScope signal(&scopes, kBarrier);
+    ManagerScope activity(&scopes, ProfDomain::kFaultService);
+    ManagerScope in_high(&scopes, high);
   }
   EXPECT_FALSE(tracker.observed().HasEdge(low, high));
   // And the stack was restored afterwards.
   {
-    CallTracker::Scope in_low(&tracker, low);
-    CallTracker::Scope nested(&tracker, high);
+    ManagerScope in_low(&scopes, low);
+    ManagerScope nested(&scopes, high);
   }
   EXPECT_TRUE(tracker.observed().HasEdge(low, high));
 }
 
 TEST(CallTracker, UndeclaredEdgesReported) {
   CallTracker tracker;
-  const ModuleId a = tracker.Register("a");
-  const ModuleId b = tracker.Register("b");
+  ScopeStack scopes(&tracker, nullptr, nullptr);
+  const ModuleId a = scopes.Register("a");
+  const ModuleId b = scopes.Register("b");
   {
-    CallTracker::Scope sa(&tracker, a);
-    CallTracker::Scope sb(&tracker, b);
+    ManagerScope sa(&scopes, a);
+    ManagerScope sb(&scopes, b);
   }
   DependencyGraph declared;
   declared.AddModule("a");

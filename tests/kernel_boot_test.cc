@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/kernel/kernel.h"
+#include "tests/kernel_fixture.h"
 
 namespace mks {
 namespace {
@@ -93,7 +94,7 @@ TEST(KernelEndToEnd, DataSurvivesDeactivationCycles) {
   // Create several segments and fill pages, cycling the small AST/memory.
   std::vector<Segno> segnos;
   for (int i = 0; i < 4; ++i) {
-    auto seg = gates.CreateSegment(*ctx, gates.RootId(), "f" + std::to_string(i), OpenAcl(),
+    auto seg = gates.CreateSegment(*ctx, gates.RootId(), Numbered("f", i), OpenAcl(),
                                    Label::SystemLow());
     ASSERT_TRUE(seg.ok()) << seg.status();
     auto segno = gates.Initiate(*ctx, *seg);

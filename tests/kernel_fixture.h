@@ -15,6 +15,13 @@ inline Subject TestSubject(const std::string& person = "Jones", uint8_t level = 
   return Subject{Principal{person, "Projx"}, Label(level, compartments), /*ring=*/4};
 }
 
+// `prefix` followed by `n` ("U" + std::to_string(n) trips GCC 12's
+// -Wrestrict false positive when inlined into a by-value argument).
+inline std::string Numbered(std::string prefix, uint64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 inline Acl WorldAcl() {
   Acl acl;
   acl.Add(AclEntry{"*", "*", AccessModes::RWE()});

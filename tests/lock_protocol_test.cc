@@ -89,7 +89,7 @@ TEST(LockProtocol, ManyProcessesSharingOneHotSegmentAllFinish) {
 
   std::vector<ProcessId> pids;
   for (int i = 0; i < 4; ++i) {
-    auto pid = fx.kernel.processes().CreateProcess(TestSubject("R" + std::to_string(i)));
+    auto pid = fx.kernel.processes().CreateProcess(TestSubject(Numbered("R", i)));
     ASSERT_TRUE(pid.ok());
     ProcContext* ctx = fx.kernel.processes().Context(*pid);
     auto segno = gates.Initiate(*ctx, *entry);

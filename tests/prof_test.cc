@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/scope.h"
 #include "src/sync/spinlock.h"
 #include "tests/kernel_fixture.h"
 
@@ -26,21 +27,35 @@ namespace {
 // Unit level: attribution mechanics against a bare clock.
 // ---------------------------------------------------------------------------
 
-TEST(ProfUnit, ScopesSplitAWindowExactly) {
+// A bare clock, profiler and frame stack with two registered managers.
+struct ProfRig {
   Clock clock;
   CostModel cost{&clock};
-  Prof prof(&clock);
-  ProfConfig config;
-  config.enabled = true;
-  prof.Enable(2, config);
+  Prof prof{&clock};
+  CallTracker tracker;
+  ScopeStack scopes{&tracker, &prof, nullptr};
+  ModuleId gates = scopes.Register("gates");
+  ModuleId pages = scopes.Register("pages");
+
+  explicit ProfRig(uint16_t cpus) {
+    ProfConfig config;
+    config.enabled = true;
+    prof.Enable(cpus, config);
+  }
+};
+
+TEST(ProfUnit, ScopesSplitAWindowExactly) {
+  ProfRig rig(2);
+  Prof& prof = rig.prof;
+  CostModel& cost = rig.cost;
   {
     Prof::Window window(&prof, 0, ProfDomain::kDispatch);
     cost.Charge(CodeStyle::kOptimized, 100);
     {
-      Prof::Scope gate(&prof, ProfDomain::kGate);
+      ManagerScope gate(&rig.scopes, rig.gates, ProfDomain::kGate);
       cost.Charge(CodeStyle::kOptimized, 40);
       {
-        Prof::Scope lock(&prof, ProfDomain::kLockSpin);
+        ManagerScope lock(&rig.scopes, ProfDomain::kLockSpin);
         cost.Charge(CodeStyle::kOptimized, 7);
       }
     }
@@ -54,27 +69,55 @@ TEST(ProfUnit, ScopesSplitAWindowExactly) {
   EXPECT_EQ(totals[static_cast<size_t>(ProfDomain::kDispatch)], 110u);
   EXPECT_EQ(totals[static_cast<size_t>(ProfDomain::kGate)], 40u);
   EXPECT_EQ(totals[static_cast<size_t>(ProfDomain::kLockSpin)], 7u);
-  // The tree keeps the nesting: lock-spin is a child of gate under dispatch.
+  // The tree keeps the nesting as a manager path: the lock-spin cell
+  // inherits its manager from the gate cell under the manager-less root.
   const std::string folded = prof.CollapsedStacks();
   EXPECT_NE(folded.find("cpu0;dispatch 110\n"), std::string::npos) << folded;
-  EXPECT_NE(folded.find("cpu0;dispatch;gate 40\n"), std::string::npos) << folded;
-  EXPECT_NE(folded.find("cpu0;dispatch;gate;lock-spin 7\n"), std::string::npos) << folded;
+  EXPECT_NE(folded.find("cpu0;dispatch;gates:gate 40\n"), std::string::npos) << folded;
+  EXPECT_NE(folded.find("cpu0;dispatch;gates:gate;gates:lock-spin 7\n"), std::string::npos)
+      << folded;
 }
 
 TEST(ProfUnit, ScopesAreInertOutsideAWindow) {
-  Clock clock;
-  CostModel cost{&clock};
-  Prof prof(&clock);
-  ProfConfig config;
-  config.enabled = true;
-  prof.Enable(1, config);
+  ProfRig rig(1);
+  Prof& prof = rig.prof;
   // Boot/setup shape: charges with no window open must not be attributed.
   {
-    Prof::Scope orphan(&prof, ProfDomain::kGate);
-    cost.Charge(CodeStyle::kOptimized, 500);
+    ManagerScope orphan(&rig.scopes, rig.gates, ProfDomain::kGate);
+    rig.cost.Charge(CodeStyle::kOptimized, 500);
   }
   EXPECT_EQ(prof.attributed(0), 0u);
   EXPECT_TRUE(prof.CollapsedStacks().empty());
+  // A window attributes only the frames entered after it opened: cycles
+  // under a frame entered before it land on the window's root.
+  {
+    ManagerScope outer(&rig.scopes, rig.gates, ProfDomain::kGate);
+    Prof::Window window(&prof, 0, ProfDomain::kDispatch);
+    rig.cost.Charge(CodeStyle::kOptimized, 30);
+  }
+  EXPECT_EQ(prof.attributed(0), 30u);
+  EXPECT_EQ(prof.CollapsedStacks(), "cpu0;dispatch 30\n");
+}
+
+TEST(ProfUnit, BarrierKeepsTheCellPath) {
+  ProfRig rig(1);
+  {
+    Prof::Window window(&rig.prof, 0, ProfDomain::kDispatch);
+    ManagerScope gate(&rig.scopes, rig.gates, ProfDomain::kGate);
+    // A fault entry blocks the lattice edge but not profiler nesting: its
+    // cycles stay under the interrupted manager until a module names itself.
+    ManagerScope fault(&rig.scopes, kBarrier, ProfDomain::kFaultService);
+    rig.cost.Charge(CodeStyle::kOptimized, 5);
+    ManagerScope page(&rig.scopes, rig.pages);
+    rig.cost.Charge(CodeStyle::kOptimized, 9);
+  }
+  EXPECT_FALSE(rig.tracker.observed().HasEdge(rig.gates, rig.pages));
+  const auto cells = rig.prof.Cells(0);
+  EXPECT_EQ(cells.at({"gates", ProfDomain::kFaultService}), 5u);
+  EXPECT_EQ(cells.at({"pages", ProfDomain::kFaultService}), 9u);
+  EXPECT_EQ(rig.prof.CollapsedStacks(),
+            "cpu0;dispatch;gates:gate;gates:fault-service 5\n"
+            "cpu0;dispatch;gates:gate;gates:fault-service;pages:fault-service 9\n");
 }
 
 TEST(ProfUnit, WatchdogCountsOnlyConsecutiveFrozenRounds) {
@@ -130,7 +173,8 @@ KernelConfig ProfConfigFor(uint16_t cpus) {
 }
 
 // P11 shape: private paged working sets larger than memory, so dispatch,
-// fault service, and paging I/O all run.
+// fault service, and paging I/O all run; each program ends with a gate call
+// (an eventcount advance) from inside its quantum.
 void RunFaultStorm(Kernel& kernel) {
   PathWalker walker(&kernel.gates());
   for (uint32_t i = 0; i < 6; ++i) {
@@ -142,11 +186,14 @@ void RunFaultStorm(Kernel& kernel) {
     ASSERT_TRUE(entry.ok());
     auto segno = kernel.gates().Initiate(*ctx, *entry);
     ASSERT_TRUE(segno.ok());
+    auto done = kernel.gates().CreateEventcount(*ctx, Label::SystemLow());
+    ASSERT_TRUE(done.ok());
     std::vector<UserOp> program;
     for (uint32_t n = 0; n < 40; ++n) {
       program.push_back(n % 3 == 0 ? UserOp::Compute(25)
                                    : UserOp::Write(*segno, (n % 10) * kPageWords + n, n + 1));
     }
+    program.push_back(UserOp::Advance(*done));
     ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
   }
   ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
@@ -241,6 +288,33 @@ TEST(ProfInvariant, DirectDrivenWindowsBalanceAtEveryPoolSize) {
     const auto totals = kernel.ctx().prof.DomainTotals();
     EXPECT_GT(totals[static_cast<size_t>(ProfDomain::kGate)], 0u);
     EXPECT_GT(totals[static_cast<size_t>(ProfDomain::kDirectoryRead)], 0u);
+  }
+}
+
+// The manager axis partitions the same ledger: per CPU the (manager,
+// activity) cells sum to attributed == accrued, and summing them over
+// managers gives the per-activity DomainTotals.
+TEST(ProfInvariant, ManagerCellsSumToTheLedger) {
+  for (uint16_t cpus : {uint16_t{1}, uint16_t{4}, uint16_t{16}}) {
+    Kernel kernel{ProfConfigFor(cpus)};
+    ASSERT_TRUE(kernel.Boot().ok());
+    RunFaultStorm(kernel);
+    const Prof& prof = kernel.ctx().prof;
+    std::array<Cycles, kProfDomainCount> by_activity{};
+    std::map<std::pair<std::string, ProfDomain>, Cycles> cells;
+    for (uint16_t cpu = 0; cpu < prof.cpu_count(); ++cpu) {
+      Cycles cpu_total = 0;
+      for (const auto& [cell, cycles] : prof.Cells(cpu)) {
+        cpu_total += cycles;
+        by_activity[static_cast<size_t>(cell.second)] += cycles;
+        cells[cell] += cycles;
+      }
+      EXPECT_EQ(cpu_total, prof.attributed(cpu)) << "cpu " << cpu;
+      EXPECT_EQ(prof.attributed(cpu), prof.accrued(cpu)) << "cpu " << cpu;
+    }
+    EXPECT_EQ(by_activity, prof.DomainTotals()) << cpus << " cpus";
+    EXPECT_GT((cells[{module_names::kPageFrame, ProfDomain::kFaultService}]), 0u);
+    EXPECT_GT((cells[{module_names::kGates, ProfDomain::kGate}]), 0u);
   }
 }
 

@@ -40,7 +40,7 @@ TEST_P(RandomWorkloadTest, AuditCleanAndDataIntact) {
   PathWalker walker(&kernel.gates());
   const int process_count = 2 + static_cast<int>(rng.NextBelow(3));
   for (int pi = 0; pi < process_count; ++pi) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(pi)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", pi)));
     ASSERT_TRUE(pid.ok());
     ProcContext* ctx = kernel.processes().Context(*pid);
     const int segments = 1 + static_cast<int>(rng.NextBelow(3));
@@ -122,7 +122,7 @@ TEST_P(RandomChurnTest, QuotaBooksBalanceUnderChurn) {
   std::vector<std::string> live;
   for (int round = 0; round < 60; ++round) {
     if (live.empty() || rng.NextBool(0.6)) {
-      const std::string name = "f" + std::to_string(round);
+      const std::string name = Numbered("f", round);
       auto seg = gates.CreateSegment(*fx.ctx, *qdir, name, WorldAcl(), Label::SystemLow());
       ASSERT_TRUE(seg.ok()) << seg.status();
       auto segno = gates.Initiate(*fx.ctx, *seg);

@@ -235,7 +235,7 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
   std::vector<ProcContext*> procs;
   std::vector<Segno> segnos;
   for (uint16_t c = 0; c < cpus; ++c) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(c)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", c)));
     if (!pid.ok()) {
       return out;
     }

@@ -37,7 +37,7 @@ RunResult RunMixed(const KernelConfig& config, uint32_t processes = 6) {
   std::vector<ProcessId> pids;
   std::vector<Segno> segnos;
   for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     if (!pid.ok()) {
       return out;
     }
@@ -149,10 +149,11 @@ struct RqRig {
   CostModel cost{&clock};
   Metrics metrics;
   Tracer trace{&clock, &metrics};
+  ScopeStack scopes{nullptr, nullptr, &trace};
   RunQueueSet rq;
 
   explicit RqRig(uint16_t cpus, bool steal, Cycles connect_cost = 0)
-      : rq(cpus, steal, connect_cost, &cost, &metrics, &trace) {}
+      : rq(cpus, steal, connect_cost, &cost, &metrics, &scopes) {}
 };
 
 TEST(RunQueueSetUnit, StealScansVictimsInFixedAscendingOrder) {
@@ -237,7 +238,7 @@ TEST(RunQueueAffinity, MasksAreRespectedUnderDispatchPressure) {
   std::map<uint32_t, uint32_t> pin_of;  // pid -> affinity mask
   std::vector<ProcessId> pids;
   for (uint32_t i = 0; i < 8; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("A" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("A", i)));
     ASSERT_TRUE(pid.ok());
     ProcContext* ctx = kernel.processes().Context(*pid);
     auto entry = walker.CreateSegment(*ctx, ">work>a" + std::to_string(i), WorldAcl(),

@@ -266,7 +266,7 @@ Snapshot RunShape(Shape shape, uint16_t cpus) {
   std::vector<ProcessId> pids;
   std::vector<ProcContext*> ctxs;
   for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     if (!pid.ok()) {
       return out;
     }

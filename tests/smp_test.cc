@@ -46,7 +46,7 @@ MixedRun RunMixed(const KernelConfig& config, uint32_t processes = 6) {
   std::vector<ProcessId> pids;
   std::vector<Segno> segnos;
   for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     if (!pid.ok()) {
       return out;
     }
@@ -139,7 +139,7 @@ TEST(SmpAudit, AuditAndShutdownWithPipelineKnobsAtFourCpus) {
   PathWalker walker(&kernel.gates());
   std::vector<ProcessId> pids;
   for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("W" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("W", i)));
     ASSERT_TRUE(pid.ok());
     ProcContext* ctx = kernel.processes().Context(*pid);
     auto entry = walker.CreateSegment(*ctx, ">work>q" + std::to_string(i), WorldAcl(),
@@ -174,7 +174,7 @@ TEST(SmpDispatch, QuantaSpreadAcrossThePool) {
   kernel.processes().set_quantum(4);  // several quanta per program
   PathWalker walker(&kernel.gates());
   for (uint32_t i = 0; i < 8; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("S" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("S", i)));
     ASSERT_TRUE(pid.ok());
     ProcContext* ctx = kernel.processes().Context(*pid);
     auto entry = walker.CreateSegment(*ctx, ">work>s" + std::to_string(i), WorldAcl(),

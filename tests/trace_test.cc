@@ -51,7 +51,7 @@ TracedRun RunTraced(bool trace_enabled) {
   }
   PathWalker walker(&kernel.gates());
   for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     if (!pid.ok()) {
       return out;
     }

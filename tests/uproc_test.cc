@@ -38,7 +38,7 @@ TEST(Uproc, ManyProcessesShareTheFixedVpPool) {
   fx.kernel.processes().set_quantum(4);  // programs span several quanta
   std::vector<ProcessId> pids{fx.pid};
   for (int i = 0; i < 7; ++i) {
-    auto pid = fx.kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = fx.kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     ASSERT_TRUE(pid.ok());
     pids.push_back(*pid);
   }
@@ -77,7 +77,7 @@ TEST(UprocAsync, BlockedProcessesAreWokenThroughTheRealMemoryQueue) {
 
   std::vector<ProcessId> pids{fx.pid};
   for (int i = 0; i < 3; ++i) {
-    auto pid = fx.kernel.processes().CreateProcess(TestSubject("U" + std::to_string(i)));
+    auto pid = fx.kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
     ASSERT_TRUE(pid.ok());
     pids.push_back(*pid);
   }
