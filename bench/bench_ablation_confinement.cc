@@ -24,10 +24,10 @@ Outcome RunScenario(bool close_channel) {
   KernelGates& gates = fx.kernel.gates();
   PathWalker walker(&gates);
 
-  auto dir = gates.CreateDirectory(*fx.ctx, gates.RootId(), "q", BenchWorldAcl(),
+  auto dir = gates.CreateDirectory(*fx.ctx, gates.RootId(), "q", WorldAcl(),
                                    Label::SystemLow());
   (void)gates.SetQuota(*fx.ctx, *dir, 200);
-  auto seg = gates.CreateSegment(*fx.ctx, *dir, "sparse", BenchWorldAcl(),
+  auto seg = gates.CreateSegment(*fx.ctx, *dir, "sparse", WorldAcl(),
                                  Label::SystemLow());
   auto segno = gates.Initiate(*fx.ctx, *seg);
 

@@ -25,7 +25,7 @@ Sample RunWorkload(double factor) {
     config.structured_factor = factor;
     BenchKernel fx{config};
     PathWalker walker(&fx.kernel.gates());
-    auto entry = walker.CreateSegment(*fx.ctx, ">data>grow", BenchWorldAcl(),
+    auto entry = walker.CreateSegment(*fx.ctx, ">data>grow", WorldAcl(),
                                       Label::SystemLow());
     auto segno = fx.kernel.gates().Initiate(*fx.ctx, *entry);
     constexpr uint32_t kGrowths = 128;
@@ -43,7 +43,7 @@ Sample RunWorkload(double factor) {
     config.structured_factor = factor;
     BenchKernel fx{config};
     PathWalker walker(&fx.kernel.gates());
-    auto entry = walker.CreateSegment(*fx.ctx, ">data>sweep", BenchWorldAcl(),
+    auto entry = walker.CreateSegment(*fx.ctx, ">data>sweep", WorldAcl(),
                                       Label::SystemLow());
     auto segno = fx.kernel.gates().Initiate(*fx.ctx, *entry);
     constexpr uint32_t kPages = 96;

@@ -38,7 +38,7 @@ PoolResult RunWithPool(uint16_t vp_count) {
     }
     pids.push_back(*pid);
     ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">w>p" + std::to_string(i), BenchWorldAcl(),
+    auto entry = walker.CreateSegment(*ctx, ">w>p" + std::to_string(i), WorldAcl(),
                                       Label::SystemLow());
     auto segno = kernel.gates().Initiate(*ctx, *entry);
     std::vector<UserOp> program;

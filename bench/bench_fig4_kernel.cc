@@ -6,6 +6,7 @@
 // verify the OBSERVED call structure stays inside the declared lattice.
 #include <cstdio>
 
+#include "bench/workload.h"
 #include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
@@ -42,8 +43,7 @@ int main() {
   }
   ProcContext* ctx = kernel.processes().Context(*pid);
   PathWalker walker(&kernel.gates());
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
+  const Acl acl = WorldAcl();
   auto a = walker.CreateSegment(*ctx, ">udd>p>a", acl, Label::SystemLow());
   auto b = walker.CreateSegment(*ctx, ">udd>p>b", acl, Label::SystemLow());
   if (!a.ok() || !b.ok()) {

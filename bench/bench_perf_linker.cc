@@ -48,7 +48,7 @@ void BM_ExtractedUserRingSnap(benchmark::State& state) {
   ReferenceNameManager names(&fx.kernel.ctx());
   DynamicLinker linker(&fx.kernel.ctx(), &fx.kernel.gates(), &walker, &names);
   for (int i = 0; i < kSymbols; ++i) {
-    (void)walker.CreateSegment(*fx.ctx, ">lib>sym" + std::to_string(i), BenchWorldAcl(),
+    (void)walker.CreateSegment(*fx.ctx, ">lib>sym" + std::to_string(i), WorldAcl(),
                                Label::SystemLow());
   }
   linker.AddSearchDir(fx.pid, ">lib");
@@ -99,7 +99,7 @@ void BM_ExtractedFirstReference(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     const std::string symbol = Numbered("s", i++);
-    (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, BenchWorldAcl(), Label::SystemLow());
+    (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, WorldAcl(), Label::SystemLow());
     state.ResumeTiming();
     const Cycles before = fx.kernel.clock().now();
     benchmark::DoNotOptimize(linker.Snap(*fx.ctx, symbol));
@@ -153,7 +153,7 @@ LinkerSimCycles MeasureSimCycles(int snap_iters, int first_refs) {
     DynamicLinker linker(&fx.kernel.ctx(), &fx.kernel.gates(), &walker, &names);
     linker.AddSearchDir(fx.pid, ">lib");
     for (int i = 0; i < kSymbols; ++i) {
-      (void)walker.CreateSegment(*fx.ctx, ">lib>sym" + std::to_string(i), BenchWorldAcl(),
+      (void)walker.CreateSegment(*fx.ctx, ">lib>sym" + std::to_string(i), WorldAcl(),
                                  Label::SystemLow());
       (void)linker.Snap(*fx.ctx, "sym" + std::to_string(i));
     }
@@ -165,7 +165,7 @@ LinkerSimCycles MeasureSimCycles(int snap_iters, int first_refs) {
     Cycles first = 0;
     for (int i = 0; i < first_refs; ++i) {
       const std::string symbol = Numbered("f", i);
-      (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, BenchWorldAcl(), Label::SystemLow());
+      (void)walker.CreateSegment(*fx.ctx, ">lib>" + symbol, WorldAcl(), Label::SystemLow());
       const Cycles b2 = fx.kernel.clock().now();
       (void)linker.Snap(*fx.ctx, symbol);
       first += fx.kernel.clock().now() - b2;

@@ -43,7 +43,6 @@
 
 #include "bench/bench_util.h"
 #include "src/baseline/supervisor.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -75,10 +74,8 @@ struct LockResult {
 // P11's fault storm on the baseline supervisor, scaled so a 16-CPU pool has
 // a process per CPU: every read misses (working sets sum to 3x the frame
 // pool) and serializes behind the global lock under the selected policy.
-LockResult RunStorm(LockPolicy policy, uint16_t cpus, uint32_t rounds) {
+LockResult MeasureStorm(LockPolicy policy, uint16_t cpus, uint32_t rounds) {
   LockResult out;
-  constexpr uint32_t kProcs = 16;
-  constexpr uint32_t kPages = 12;
   BaselineConfig config;
   config.memory_frames = 64;
   config.records_per_pack = 8192;
@@ -86,35 +83,19 @@ LockResult RunStorm(LockPolicy policy, uint16_t cpus, uint32_t rounds) {
   config.lock_policy = policy;
   config.lock_transfer_cost = 400;
   MonolithicSupervisor sup{config};
-  if (!sup.Boot().ok()) {
+  const workload::Shape storm{.kind = workload::Kind::kPrivateSweep,
+                              .processes = 16,
+                              .pages = 12,
+                              .rounds = rounds};
+  if (!sup.Boot().ok() || !workload::Build(sup, storm).ok) {
     return out;
   }
-  using Op = MonolithicSupervisor::BaselineOp;
-  for (uint32_t i = 0; i < kProcs; ++i) {
-    auto pid = sup.CreateProcess();
-    auto uid = sup.CreatePath(">work>p" + std::to_string(i));
-    if (!pid.ok() || !uid.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < kPages; ++p) {
-      (void)sup.Write(*uid, p * kPageWords, p + 1);
-    }
-    std::vector<Op> program;
-    for (uint32_t r = 0; r < rounds; ++r) {
-      for (uint32_t p = 0; p < kPages; ++p) {
-        program.push_back(Op{Op::Kind::kRead, *uid, p * kPageWords, 0, 0});
-      }
-    }
-    (void)sup.SetProgram(*pid, std::move(program));
-  }
-  const Cycles before = sup.clock().now();
-  sup.AlignCpus();
-  const Cycles m0 = sup.Makespan();
-  if (!sup.RunUntilQuiescent(1000000).ok()) {
+  const workload::Region region = workload::Measure(sup, 1000000);
+  if (!region.ok) {
     return out;
   }
-  out.total = sup.clock().now() - before;
-  out.makespan = sup.Makespan() - m0;
+  out.total = region.total;
+  out.makespan = region.makespan;
   out.acquisitions = sup.global_lock_acquisitions();
   out.contended = sup.global_lock_contended();
   out.spin_cycles = sup.global_lock_spin_cycles();
@@ -128,10 +109,8 @@ LockResult RunStorm(LockPolicy policy, uint16_t cpus, uint32_t rounds) {
 // P13's mixed pinned workload on the kernel's legacy global ready list:
 // quantum 2 makes dispatch the bottleneck, and at connect cost 800 every
 // dispatch locks and bounces the one list line under the selected policy.
-LockResult RunMixed(LockPolicy policy, uint16_t cpus, uint32_t ops) {
+LockResult MeasureMixed(LockPolicy policy, uint16_t cpus, uint32_t ops) {
   LockResult out;
-  constexpr uint32_t kProcs = 8;
-  constexpr uint32_t kPages = 16;
   KernelConfig config;
   config.memory_frames = 256;
   config.records_per_pack = 8192;
@@ -140,55 +119,15 @@ LockResult RunMixed(LockPolicy policy, uint16_t cpus, uint32_t ops) {
   config.connect_cost = 800;
   config.lock_policy = policy;
   Kernel kernel{ArmWatchdog(config)};
-  if (!kernel.Boot().ok()) {
+  if (!kernel.Boot().ok() || !workload::Build(kernel, workload::PinnedMix(ops)).ok) {
     return out;
   }
-  kernel.processes().set_quantum(2);
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-  const uint32_t pool = cpus >= 32 ? ~0u : ((1u << cpus) - 1);
-  for (uint32_t i = 0; i < kProcs; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>m" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < kPages; ++p) {
-      (void)kernel.gates().Write(*ctx, *segno, p * kPageWords, p + 1);
-    }
-    const bool reader = i < kProcs / 2;
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < ops; ++n) {
-      if (reader) {
-        program.push_back(UserOp::Read(*segno, (n % kPages) * kPageWords));
-      } else {
-        program.push_back(UserOp::Compute(40));
-      }
-    }
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-    const uint32_t pin = reader ? 0x3u : 0xcu;
-    if ((pin & pool) != 0) {
-      (void)kernel.processes().SetAffinity(*pid, pin);
-    }
-  }
-  const Cycles before = kernel.clock().now();
-  kernel.ctx().smp.AlignAll();
-  const Cycles m0 = kernel.ctx().smp.Makespan();
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
+  const workload::Region region = workload::Measure(kernel, 1000000);
+  if (!region.ok) {
     return out;
   }
-  out.total = kernel.clock().now() - before;
-  out.makespan = kernel.ctx().smp.Makespan() - m0;
+  out.total = region.total;
+  out.makespan = region.makespan;
   const SimSpinLock& lock = kernel.processes().list_lock();
   out.acquisitions = lock.acquisitions();
   out.contended = lock.contended();
@@ -231,8 +170,8 @@ int main(int argc, char** argv) {
     for (LockPolicy policy : kPolicies) {
       Cycles m1 = 0;
       for (uint16_t cpus : cpu_counts) {
-        const LockResult r = storm ? RunStorm(policy, cpus, storm_rounds)
-                                   : RunMixed(policy, cpus, mix_ops);
+        const LockResult r = storm ? MeasureStorm(policy, cpus, storm_rounds)
+                                   : MeasureMixed(policy, cpus, mix_ops);
         if (!r.ok) {
           std::fprintf(stderr, "run failed (%s, %s, %u cpus)\n", workload,
                        LockPolicyName(policy), cpus);
@@ -281,10 +220,10 @@ int main(int argc, char** argv) {
   // Determinism self-check: the heaviest configuration of each workload,
   // twice, must match on every counter bit-for-bit.
   {
-    const LockResult a = RunStorm(LockPolicy::kMcs, max_cpus, storm_rounds);
-    const LockResult b = RunStorm(LockPolicy::kMcs, max_cpus, storm_rounds);
-    const LockResult c = RunMixed(LockPolicy::kAnderson, max_cpus, mix_ops);
-    const LockResult d = RunMixed(LockPolicy::kAnderson, max_cpus, mix_ops);
+    const LockResult a = MeasureStorm(LockPolicy::kMcs, max_cpus, storm_rounds);
+    const LockResult b = MeasureStorm(LockPolicy::kMcs, max_cpus, storm_rounds);
+    const LockResult c = MeasureMixed(LockPolicy::kAnderson, max_cpus, mix_ops);
+    const LockResult d = MeasureMixed(LockPolicy::kAnderson, max_cpus, mix_ops);
     if (!a.ok || !b.ok || !c.ok || !d.ok || !a.BitIdentical(b) || !c.BitIdentical(d)) {
       std::fprintf(stderr, "DETERMINISM FAILURE: double-run results differ\n");
       return 1;

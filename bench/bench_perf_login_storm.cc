@@ -180,20 +180,11 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
   }
 
   std::vector<ProcessId> pid_of(static_cast<size_t>(users));
-  // One session operation = one anchored accrual window on the
-  // furthest-behind CPU, rooted in the session-setup profiler domain.
+  // One session operation = one CPU window on the furthest-behind CPU,
+  // rooted in the session-setup profiler domain.
   auto drive = [&](auto&& op) -> bool {
-    const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    Prof::Window window(&kctx.prof, cpu, ProfDomain::kSessionSetup);
-    const Cycles t0 = kernel.clock().now();
-    if (!op()) {
-      return false;
-    }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
-    return true;
+    CpuWindow window(&kctx, kctx.smp.NextCpu(), ProfDomain::kSessionSetup);
+    return op();
   };
   auto login = [&](int u) {
     auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, "pw" + std::to_string(u),
@@ -242,14 +233,8 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
                   metrics.Get("answering.skel_hits"),
                   metrics.Get("answering.skel_misses")};
 
-  // Barrier into the measured region (see bench_perf_name_storm): local
-  // clocks aligned and advanced to the global clock, so boot, enrollment,
-  // and warm-up never read as contention against the measured windows.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
-  const Cycles m0 = kctx.smp.Makespan();
+  // Boot, enrollment and warm-up stay outside the measured region.
+  const Cycles m0 = workload::AlignToClock(kernel);
   const Cycles before = kernel.clock().now();
 
   // Phase 1: the storm front — every user logs in.

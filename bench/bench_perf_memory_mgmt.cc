@@ -116,8 +116,7 @@ RunResult RunKernel(uint32_t frames, const std::vector<Ref>& trace, uint32_t seg
   }
   ProcContext* ctx = kernel.processes().Context(*pid);
   PathWalker walker(&kernel.gates());
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
+  const Acl acl = WorldAcl();
   std::vector<Segno> segnos;
   for (uint32_t s = 0; s < segments; ++s) {
     auto entry =

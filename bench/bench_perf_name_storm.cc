@@ -120,7 +120,7 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
   }
   KernelContext& kctx = kernel.ctx();
   PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
+  const Acl acl = WorldAcl();
   Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
 
   // One process per CPU; each initiates one probe segment for KST lookups.
@@ -154,26 +154,15 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
     probes.push_back(*segno);
   }
 
-  // Barrier into the measured region: every local clock aligned AND advanced
-  // to the global clock, so release points recorded during (unanchored,
-  // single-stream) boot and setup can never read as contention against the
-  // measured windows.  At 1 CPU this makes exclusive spin structurally zero.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
-  const Cycles m0 = kctx.smp.Makespan();
+  // At 1 CPU the barrier makes exclusive spin structurally zero.
+  const Cycles m0 = workload::AlignToClock(kernel);
   const Cycles before = kernel.clock().now();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    // Each op is one accrual window; the window closes (and attributes) after
-    // the Accrue below, at the end of the iteration.  Everything inside goes
-    // through the gate layer, so the root is the gate domain.
-    Prof::Window window(&kctx.prof, cpu, ProfDomain::kGate);
-    const Cycles t0 = kernel.clock().now();
+    // Each op is one CPU window, accrued and closed at the end of the
+    // iteration.  Everything inside goes through the gate layer, so the
+    // root is the gate domain.
+    CpuWindow window(&kctx, cpu, ProfDomain::kGate);
     if (i % kWritePeriod == kWritePeriod - 1) {
       const std::string name = Numbered("s", i % kLibSegments);
       if (!kernel.gates().SetAcl(*procs[cpu], *lib, name, acl).ok()) {
@@ -190,7 +179,6 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
       }
       ++out.walks;
     }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
   }
   out.total = kernel.clock().now() - before;
   out.makespan = kctx.smp.Makespan() - m0;

@@ -67,8 +67,7 @@ double KernelFaultCost(uint64_t* locked_waits, AssocStats* assoc) {
   auto pid = kernel.processes().CreateProcess(user);
   ProcContext* ctx = kernel.processes().Context(*pid);
   PathWalker walker(&kernel.gates());
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
+  const Acl acl = WorldAcl();
   auto entry = walker.CreateSegment(*ctx, ">big", acl, Label::SystemLow());
   if (!entry.ok()) {
     return -1;

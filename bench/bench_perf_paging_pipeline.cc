@@ -46,7 +46,7 @@ RunResult RunTrace(const PagingPipeline& pipeline, bool sequential) {
   config.paging_pipeline = pipeline;
   BenchKernel bk{config};
   PathWalker walker(&bk.kernel.gates());
-  auto entry = walker.CreateSegment(*bk.ctx, ">pipe", BenchWorldAcl(), Label::SystemLow());
+  auto entry = walker.CreateSegment(*bk.ctx, ">pipe", WorldAcl(), Label::SystemLow());
   if (!entry.ok()) {
     std::abort();
   }

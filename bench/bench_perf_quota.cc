@@ -58,8 +58,7 @@ double KernelGrowthCost(uint32_t depth, uint32_t growths) {
   }
   ProcContext* ctx = kernel.processes().Context(*pid);
   PathWalker walker(&kernel.gates());
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
+  const Acl acl = WorldAcl();
   std::string path;
   for (uint32_t d = 0; d < depth; ++d) {
     path += ">d" + std::to_string(d);

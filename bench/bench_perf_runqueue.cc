@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -100,164 +99,51 @@ KernelConfig MakeConfig(const Mode& mode, uint16_t cpus, Cycles connect_cost,
   return config;
 }
 
-// Shared per-run reporting for both workloads: trace_dropped + the all-
-// histogram line when tracing, the top-domain table + `runqueue_prof` line
-// (and optionally the folded flamegraph export) when profiling.
-void ReportRun(Kernel& kernel, RqResult* out, const char* workload, const Mode& mode,
-               uint16_t cpus, Cycles cost, bool trace, bool profile,
-               const char* folded_path) {
+// One run of `shape` under `mode`.  The fault storm gets 64 frames, so
+// every touch of its cyclic sweep faults; the pinned mix gets 256.
+RqResult Measure(const char* name, const workload::Shape& shape, const Mode& mode,
+                 uint16_t cpus, Cycles connect_cost, bool trace, bool profile,
+                 const char* trace_path, const char* folded_path) {
+  RqResult out;
+  const uint32_t frames = shape.kind == workload::Kind::kPrivateSweep ? 64 : 256;
+  Kernel kernel{MakeConfig(mode, cpus, connect_cost, frames, trace, profile)};
+  if (!kernel.Boot().ok() || !workload::Build(kernel, shape).ok) {
+    return out;
+  }
+  const workload::Region region = workload::Measure(kernel, 1000000);
+  if (!region.ok) {
+    return out;
+  }
+  out.total = region.total;
+  out.makespan = region.makespan;
+  CaptureCounters(kernel.metrics(), &out);
+  if (trace && trace_path != nullptr) {
+    WriteTrace(kernel.ctx().trace, trace_path);
+  }
   if (trace) {
-    out->trace_dropped = TraceDroppedTotal(kernel.ctx().trace);
+    out.trace_dropped = TraceDroppedTotal(kernel.ctx().trace);
     JsonLine hline("runqueue_hist");
-    hline.Field("workload", workload)
+    hline.Field("workload", name)
         .Field("mode", mode.name)
         .Field("cpus", uint64_t{cpus})
-        .Field("connect_cost", uint64_t{cost});
+        .Field("connect_cost", uint64_t{connect_cost});
     EmitJson(FieldAllHistograms(hline, kernel.metrics()));
   }
   if (profile) {
     char title[96];
-    std::snprintf(title, sizeof title, "%s %s @ %u cpus, cost %llu", workload, mode.name,
-                  cpus, (unsigned long long)cost);
+    std::snprintf(title, sizeof title, "%s %s @ %u cpus, cost %llu", name, mode.name,
+                  cpus, (unsigned long long)connect_cost);
     PrintProfileTable(kernel.ctx().prof, title);
     JsonLine pline("runqueue_prof");
-    pline.Field("workload", workload)
+    pline.Field("workload", name)
         .Field("mode", mode.name)
         .Field("cpus", uint64_t{cpus})
-        .Field("connect_cost", uint64_t{cost});
+        .Field("connect_cost", uint64_t{connect_cost});
     EmitJson(FieldProfDomains(pline, kernel.ctx().prof));
     if (folded_path != nullptr) {
       WriteFolded(kernel.ctx().prof, folded_path);
     }
   }
-}
-
-// P11's kernel fault storm, unchanged: every touch of the cyclic page sweep
-// faults because the working sets sum past the frame pool.
-RqResult RunStorm(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t rounds,
-                  bool trace, bool profile, const char* trace_path,
-                  const char* folded_path) {
-  RqResult out;
-  constexpr uint32_t kProcs = 4;
-  constexpr uint32_t kPages = 24;
-  Kernel kernel{MakeConfig(mode, cpus, connect_cost, /*frames=*/64, trace, profile)};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-  for (uint32_t i = 0; i < kProcs; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < kPages; ++p) {
-      (void)kernel.gates().Write(*ctx, *segno, p * kPageWords, p + 1);
-    }
-    std::vector<UserOp> program;
-    for (uint32_t r = 0; r < rounds; ++r) {
-      for (uint32_t p = 0; p < kPages; ++p) {
-        program.push_back(UserOp::Read(*segno, p * kPageWords));
-      }
-    }
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-  }
-  const Cycles before = kernel.clock().now();
-  kernel.ctx().smp.AlignAll();
-  const Cycles m0 = kernel.ctx().smp.Makespan();
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  out.total = kernel.clock().now() - before;
-  out.makespan = kernel.ctx().smp.Makespan() - m0;
-  CaptureCounters(kernel.metrics(), &out);
-  if (trace && trace_path != nullptr) {
-    if (!TraceExporter::WriteFile(kernel.ctx().trace, trace_path)) {
-      std::fprintf(stderr, "trace export failed: %s\n", trace_path);
-    } else {
-      std::printf("trace written: %s\n", trace_path);
-    }
-  }
-  ReportRun(kernel, &out, "fault_storm", mode, cpus, connect_cost, trace, profile,
-            folded_path);
-  out.ok = true;
-  return out;
-}
-
-// The dispatch-rate-bound mix: quantum 2, so every pair of ops pays a full
-// dispatch round trip through the scheduler's shared state.  Four paged
-// readers carry affinity mask 0x3 (CPUs 0-1) and four compute processes mask
-// 0xc (CPUs 2-3); a pin is applied only where it intersects the pool, so the
-// 1- and 2-CPU rows degrade gracefully to unpinned halves.
-RqResult RunMixed(const Mode& mode, uint16_t cpus, Cycles connect_cost, uint32_t ops,
-                  bool trace, bool profile) {
-  RqResult out;
-  constexpr uint32_t kProcs = 8;
-  constexpr uint32_t kPages = 16;
-  Kernel kernel{MakeConfig(mode, cpus, connect_cost, /*frames=*/256, trace, profile)};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  kernel.processes().set_quantum(2);
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-  const uint32_t pool = cpus >= 32 ? ~0u : ((1u << cpus) - 1);
-  for (uint32_t i = 0; i < kProcs; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>m" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < kPages; ++p) {
-      (void)kernel.gates().Write(*ctx, *segno, p * kPageWords, p + 1);
-    }
-    const bool reader = i < kProcs / 2;
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < ops; ++n) {
-      if (reader) {
-        program.push_back(UserOp::Read(*segno, (n % kPages) * kPageWords));
-      } else {
-        program.push_back(UserOp::Compute(40));
-      }
-    }
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-    const uint32_t pin = reader ? 0x3u : 0xcu;
-    if ((pin & pool) != 0) {
-      (void)kernel.processes().SetAffinity(*pid, pin);
-    }
-  }
-  const Cycles before = kernel.clock().now();
-  kernel.ctx().smp.AlignAll();
-  const Cycles m0 = kernel.ctx().smp.Makespan();
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  out.total = kernel.clock().now() - before;
-  out.makespan = kernel.ctx().smp.Makespan() - m0;
-  CaptureCounters(kernel.metrics(), &out);
-  ReportRun(kernel, &out, "mixed_pinned", mode, cpus, connect_cost, trace, profile,
-            /*folded_path=*/nullptr);
   out.ok = true;
   return out;
 }
@@ -303,11 +189,12 @@ int main(int argc, char** argv) {
           const bool heaviest = storm && mode.steal && cpus == 4 && cost == max_cost;
           const bool want_export = trace && heaviest;
           const bool want_folded = profile && heaviest;
-          const RqResult r =
-              storm ? RunStorm(mode, cpus, cost, storm_rounds, trace, profile,
-                               want_export ? "bench_perf_runqueue.trace.json" : nullptr,
-                               want_folded ? "bench_perf_runqueue.prof.folded" : nullptr)
-                    : RunMixed(mode, cpus, cost, mix_ops, trace, profile);
+          const RqResult r = Measure(
+              workload,
+              storm ? workload::FaultStorm(storm_rounds) : workload::PinnedMix(mix_ops), mode,
+              cpus, cost, trace, profile,
+              want_export ? "bench_perf_runqueue.trace.json" : nullptr,
+              want_folded ? "bench_perf_runqueue.prof.folded" : nullptr);
           if (!r.ok) {
             std::fprintf(stderr, "run failed (%s, %s, %u cpus, cost %llu)\n", workload,
                          mode.name, cpus, (unsigned long long)cost);

@@ -12,7 +12,6 @@
 
 #include "bench/bench_util.h"
 #include "src/baseline/supervisor.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -20,46 +19,23 @@ namespace {
 
 constexpr int kProcesses = 8;
 constexpr uint32_t kOpsPerProcess = 120;
-constexpr uint32_t kPagesPerProcess = 6;
+
+// Compute every third op, paged writes over 6 pages otherwise.
+constexpr workload::Shape kMix{.kind = workload::Kind::kComputeWrite,
+                               .processes = kProcesses,
+                               .pages = 6,
+                               .ops = kOpsPerProcess,
+                               .populate = false};
 
 Cycles RunBaseline() {
   BaselineConfig config;
   config.memory_frames = 256;
   config.records_per_pack = 8192;
   MonolithicSupervisor sup{config};
-  if (!sup.Boot().ok()) {
+  if (!sup.Boot().ok() || !workload::Build(sup, kMix).ok) {
     return 0;
   }
-  std::vector<ProcessId> pids;
-  for (int i = 0; i < kProcesses; ++i) {
-    auto pid = sup.CreateProcess();
-    if (!pid.ok()) {
-      return 0;
-    }
-    auto uid = sup.CreatePath(">work>p" + std::to_string(i));
-    if (!uid.ok()) {
-      return 0;
-    }
-    std::vector<MonolithicSupervisor::BaselineOp> program;
-    for (uint32_t n = 0; n < kOpsPerProcess; ++n) {
-      MonolithicSupervisor::BaselineOp op;
-      if (n % 3 == 0) {
-        op.kind = MonolithicSupervisor::BaselineOp::Kind::kCompute;
-        op.compute = 40;
-      } else {
-        op.kind = MonolithicSupervisor::BaselineOp::Kind::kWrite;
-        op.uid = *uid;
-        op.offset = (n % kPagesPerProcess) * kPageWords + n;
-        op.value = n;
-      }
-      program.push_back(op);
-    }
-    (void)sup.SetProgram(*pid, std::move(program));
-    pids.push_back(*pid);
-  }
-  const Cycles before = sup.clock().now();
-  (void)sup.RunUntilQuiescent(100000);
-  return sup.clock().now() - before;
+  return workload::Measure(sup, 100000).total;
 }
 
 Cycles RunKernel() {
@@ -68,42 +44,10 @@ Cycles RunKernel() {
   config.records_per_pack = 8192;
   config.vp_count = 6;  // 8 processes multiplexed over a smaller fixed pool
   Kernel kernel{ArmWatchdog(config)};
-  if (!kernel.Boot().ok()) {
+  if (!kernel.Boot().ok() || !workload::Build(kernel, kMix).ok) {
     return 0;
   }
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
-  for (int i = 0; i < kProcesses; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return 0;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return 0;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return 0;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < kOpsPerProcess; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(40));
-      } else {
-        program.push_back(
-            UserOp::Write(*segno, (n % kPagesPerProcess) * kPageWords + n, n));
-      }
-    }
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-  }
-  const Cycles before = kernel.clock().now();
-  (void)kernel.processes().RunUntilQuiescent(1000000);
-  return kernel.clock().now() - before;
+  return workload::Measure(kernel, 1000000).total;
 }
 
 }  // namespace

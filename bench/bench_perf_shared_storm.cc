@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -43,7 +42,7 @@ struct StormResult {
   bool ok = false;
 };
 
-StormResult RunStorm(uint16_t cpus, uint32_t rounds, const char* trace_path) {
+StormResult MeasureStorm(uint16_t cpus, uint32_t rounds, const char* trace_path) {
   StormResult out;
   KernelConfig config;
   config.memory_frames = 64;
@@ -53,60 +52,22 @@ StormResult RunStorm(uint16_t cpus, uint32_t rounds, const char* trace_path) {
   config.async_paging = true;  // in-flight transfers keep PTWs locked
   config.trace.enabled = true;
   Kernel kernel{ArmWatchdog(config)};
-  if (!kernel.Boot().ok()) {
+  // Process i starts kSharedPages/kProcesses pages ahead of process i-1, so
+  // touches collide on in-flight pages.
+  const workload::Shape storm{.kind = workload::Kind::kSharedSweep,
+                              .processes = kProcesses,
+                              .pages = kSharedPages,
+                              .rounds = rounds,
+                              .path = ">work>shared"};
+  if (!kernel.Boot().ok() || !workload::Build(kernel, storm).ok) {
     return out;
   }
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-
-  // One process authors the shared segment; everyone initiates the same
-  // branch, so all address spaces map the same AST entry and page table.
-  std::vector<ProcessId> pids;
-  std::vector<ProcContext*> ctxs;
-  for (uint32_t i = 0; i < kProcesses; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    ctxs.push_back(kernel.processes().Context(*pid));
-  }
-  auto entry = walker.CreateSegment(*ctxs[0], ">work>shared", acl, Label::SystemLow());
-  if (!entry.ok()) {
+  const workload::Region region = workload::Measure(kernel, 4000000);
+  if (!region.ok) {
     return out;
   }
-  for (uint32_t i = 0; i < kProcesses; ++i) {
-    auto segno = kernel.gates().Initiate(*ctxs[i], *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    if (i == 0) {  // populate once; later sweeps fault the pages back in
-      for (uint32_t p = 0; p < kSharedPages; ++p) {
-        (void)kernel.gates().Write(*ctxs[0], *segno, p * kPageWords, p + 1);
-      }
-    }
-    // Staggered cyclic sweep: process i starts kSharedPages/kProcesses pages
-    // ahead of process i-1, so touches collide on in-flight pages.
-    std::vector<UserOp> program;
-    const uint32_t start = i * (kSharedPages / kProcesses);
-    for (uint32_t r = 0; r < rounds; ++r) {
-      for (uint32_t p = 0; p < kSharedPages; ++p) {
-        const uint32_t page = (start + p) % kSharedPages;
-        program.push_back(UserOp::Read(*segno, page * kPageWords));
-      }
-    }
-    (void)kernel.processes().SetProgram(pids[i], std::move(program));
-  }
-
-  const Cycles before = kernel.clock().now();
-  kernel.ctx().smp.AlignAll();
-  const Cycles m0 = kernel.ctx().smp.Makespan();
-  if (!kernel.processes().RunUntilQuiescent(4000000).ok()) {
-    return out;
-  }
-  out.total = kernel.clock().now() - before;
-  out.makespan = kernel.ctx().smp.Makespan() - m0;
+  out.total = region.total;
+  out.makespan = region.makespan;
   out.locked_waits = kernel.metrics().Get("gates.locked_descriptor_waits");
   out.fault_count = kernel.metrics().HistCount("fault.service_cycles");
   if (out.fault_count > 0) {
@@ -116,11 +77,7 @@ StormResult RunStorm(uint16_t cpus, uint32_t rounds, const char* trace_path) {
   }
   out.trace_dropped = TraceDroppedTotal(kernel.ctx().trace);
   if (trace_path != nullptr) {
-    if (!TraceExporter::WriteFile(kernel.ctx().trace, trace_path)) {
-      std::fprintf(stderr, "trace export failed: %s\n", trace_path);
-    } else {
-      std::printf("trace written: %s\n", trace_path);
-    }
+    WriteTrace(kernel.ctx().trace, trace_path);
   }
   out.ok = true;
   return out;
@@ -151,7 +108,7 @@ int main(int argc, char** argv) {
   for (uint16_t cpus : cpu_counts) {
     const bool want_export = cpus == cpu_counts.back();
     const StormResult r =
-        RunStorm(cpus, rounds, want_export ? "bench_perf_shared_storm.trace.json" : nullptr);
+        MeasureStorm(cpus, rounds, want_export ? "bench_perf_shared_storm.trace.json" : nullptr);
     if (!r.ok) {
       std::fprintf(stderr, "run failed (%u cpus)\n", cpus);
       return 1;

@@ -25,7 +25,6 @@
 
 #include "bench/bench_util.h"
 #include "src/answering/service.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -45,7 +44,7 @@ struct CoreRun {
 
 // The P11 fault storm, kernel supervisor: 4 processes x 24 pages > 64
 // frames, so every touch faults.  `rounds` scales the sweep count.
-CoreRun RunFaultStorm(uint16_t cpus, uint32_t rounds, bool trace) {
+CoreRun MeasureFaultStorm(uint16_t cpus, uint32_t rounds, bool trace) {
   CoreRun out;
   KernelConfig config;
   config.memory_frames = 64;
@@ -54,43 +53,12 @@ CoreRun RunFaultStorm(uint16_t cpus, uint32_t rounds, bool trace) {
   config.vp_count = 6;
   config.trace.enabled = trace;
   Kernel kernel{ArmWatchdog(config)};
-  if (!kernel.Boot().ok()) {
+  if (!kernel.Boot().ok() || !workload::Build(kernel, workload::FaultStorm(rounds)).ok) {
     return out;
   }
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-  for (uint32_t i = 0; i < 4; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < 24; ++p) {
-      (void)kernel.gates().Write(*ctx, *segno, p * kPageWords, p + 1);
-    }
-    std::vector<UserOp> program;
-    program.reserve(static_cast<size_t>(rounds) * 24);
-    for (uint32_t r = 0; r < rounds; ++r) {
-      for (uint32_t p = 0; p < 24; ++p) {
-        program.push_back(UserOp::Read(*segno, p * kPageWords));
-      }
-    }
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-  }
-  kernel.ctx().smp.AlignAll();
   const Cycles before = Clock::total_advanced();
   const auto t0 = std::chrono::steady_clock::now();
-  if (!kernel.processes().RunUntilQuiescent(4000000000ULL).ok()) {
+  if (!workload::Measure(kernel, 4000000000ULL).ok) {
     return out;
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -158,8 +126,8 @@ int main(int argc, char** argv) {
 
   // Determinism self-check first (small, traced): identical virtual-time
   // output across two runs is the contract every host optimization rides on.
-  const CoreRun d1 = RunFaultStorm(4, 4, /*trace=*/true);
-  const CoreRun d2 = RunFaultStorm(4, 4, /*trace=*/true);
+  const CoreRun d1 = MeasureFaultStorm(4, 4, /*trace=*/true);
+  const CoreRun d2 = MeasureFaultStorm(4, 4, /*trace=*/true);
   if (!d1.ok || !d2.ok) {
     std::fprintf(stderr, "determinism check run failed\n");
     return 1;
@@ -168,7 +136,7 @@ int main(int argc, char** argv) {
   std::printf("double-run determinism (counters + trace export): %s\n\n",
               deterministic ? "byte-identical" : "MISMATCH");
 
-  const CoreRun storm = RunFaultStorm(4, rounds, /*trace=*/false);
+  const CoreRun storm = MeasureFaultStorm(4, rounds, /*trace=*/false);
   if (!storm.ok) {
     std::fprintf(stderr, "fault storm failed\n");
     return 1;

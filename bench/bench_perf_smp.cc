@@ -38,7 +38,6 @@
 
 #include "bench/bench_util.h"
 #include "src/baseline/supervisor.h"
-#include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
 namespace mks {
@@ -46,10 +45,9 @@ namespace {
 
 struct Workload {
   const char* name;
-  uint32_t processes;
-  uint32_t pages_per_process;
-  uint32_t rounds;      // fault storm: sweeps over the pages
-  uint32_t mix_ops;     // scheduler mix: ops per process (0: pure storm)
+  workload::Shape shape;
+
+  bool storm() const { return shape.kind == workload::Kind::kPrivateSweep; }
 };
 
 struct SmpResult {
@@ -74,67 +72,23 @@ void EmitHistLine(const Metrics& metrics, const Workload& w, const char* supervi
   EmitJson(FieldAllHistograms(line, metrics));
 }
 
-// Builds one process's op list.  The fault storm is a cyclic sweep of the
-// process's pages (working sets sized so the sum exceeds memory: every touch
-// faults); the mix interleaves compute with paged writes like bench P5.
-template <typename Op, typename MakeCompute, typename MakeRead, typename MakeWrite>
-std::vector<Op> BuildProgram(const Workload& w, MakeCompute compute, MakeRead read,
-                             MakeWrite write) {
-  std::vector<Op> program;
-  if (w.mix_ops == 0) {
-    for (uint32_t r = 0; r < w.rounds; ++r) {
-      for (uint32_t p = 0; p < w.pages_per_process; ++p) {
-        program.push_back(read(p * kPageWords));
-      }
-    }
-  } else {
-    for (uint32_t n = 0; n < w.mix_ops; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(compute(40));
-      } else {
-        program.push_back(write((n % w.pages_per_process) * kPageWords + n, n));
-      }
-    }
-  }
-  return program;
-}
-
-SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace) {
+SmpResult MeasureBaseline(const Workload& w, uint16_t cpus, bool trace) {
   SmpResult out;
   BaselineConfig config;
-  config.memory_frames = w.mix_ops == 0 ? 64 : 256;
+  config.memory_frames = w.storm() ? 64 : 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.trace.enabled = trace;
   MonolithicSupervisor sup{config};
-  if (!sup.Boot().ok()) {
+  if (!sup.Boot().ok() || !workload::Build(sup, w.shape).ok) {
     return out;
   }
-  using Op = MonolithicSupervisor::BaselineOp;
-  for (uint32_t i = 0; i < w.processes; ++i) {
-    auto pid = sup.CreateProcess();
-    auto uid = sup.CreatePath(">work>p" + std::to_string(i));
-    if (!pid.ok() || !uid.ok()) {
-      return out;
-    }
-    auto program = BuildProgram<Op>(
-        w, [](Cycles c) { return Op{Op::Kind::kCompute, {}, 0, 0, c}; },
-        [&](uint32_t off) { return Op{Op::Kind::kRead, *uid, off, 0, 0}; },
-        [&](uint32_t off, Word v) { return Op{Op::Kind::kWrite, *uid, off, v, 0}; });
-    // Populate the pages so storm reads hit allocated records.
-    for (uint32_t p = 0; p < w.pages_per_process; ++p) {
-      (void)sup.Write(*uid, p * kPageWords, p + 1);
-    }
-    (void)sup.SetProgram(*pid, std::move(program));
-  }
-  const Cycles before = sup.clock().now();
-  sup.AlignCpus();  // the measured region starts with the pool synchronized
-  const Cycles m0 = sup.Makespan();
-  if (!sup.RunUntilQuiescent(1000000).ok()) {
+  const workload::Region region = workload::Measure(sup, 1000000);
+  if (!region.ok) {
     return out;
   }
-  out.total = sup.clock().now() - before;
-  out.makespan = sup.Makespan() - m0;
+  out.total = region.total;
+  out.makespan = region.makespan;
   out.lock_acquisitions = sup.global_lock_acquisitions();
   out.lock_contended = sup.global_lock_contended();
   out.lock_spin = sup.global_lock_spin_cycles();
@@ -146,67 +100,33 @@ SmpResult RunBaseline(const Workload& w, uint16_t cpus, bool trace) {
   return out;
 }
 
-SmpResult RunKernel(const Workload& w, uint16_t cpus, bool trace, bool profile,
-                    const char* trace_path = nullptr) {
+SmpResult MeasureKernel(const Workload& w, uint16_t cpus, bool trace, bool profile,
+                        const char* trace_path = nullptr) {
   SmpResult out;
   KernelConfig config;
-  config.memory_frames = w.mix_ops == 0 ? 64 : 256;
+  config.memory_frames = w.storm() ? 64 : 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
   config.vp_count = 6;
   config.trace.enabled = trace;
   config.profile.enabled = profile;
-  config.profile.stall_rounds = kBenchStallRounds;
-  Kernel kernel{config};
-  if (!kernel.Boot().ok()) {
+  Kernel kernel{ArmWatchdog(config)};
+  if (!kernel.Boot().ok() || !workload::Build(kernel, w.shape).ok) {
     return out;
   }
-  Subject user{Principal{"Bench", "Proj"}, Label::SystemLow(), 4};
-  PathWalker walker(&kernel.gates());
-  const Acl acl = BenchWorldAcl();
-  for (uint32_t i = 0; i < w.processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(user);
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry =
-        walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), acl, Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    for (uint32_t p = 0; p < w.pages_per_process; ++p) {
-      (void)kernel.gates().Write(*ctx, *segno, p * kPageWords, p + 1);
-    }
-    auto program = BuildProgram<UserOp>(
-        w, [](Cycles c) { return UserOp::Compute(c); },
-        [&](uint32_t off) { return UserOp::Read(*segno, off); },
-        [&](uint32_t off, Word v) { return UserOp::Write(*segno, off, v); });
-    (void)kernel.processes().SetProgram(*pid, std::move(program));
-  }
-  const Cycles before = kernel.clock().now();
-  kernel.ctx().smp.AlignAll();  // measured region starts synchronized
-  const Cycles m0 = kernel.ctx().smp.Makespan();
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
+  const workload::Region region = workload::Measure(kernel, 1000000);
+  if (!region.ok) {
     return out;
   }
-  out.total = kernel.clock().now() - before;
-  out.makespan = kernel.ctx().smp.Makespan() - m0;
+  out.total = region.total;
+  out.makespan = region.makespan;
   out.locked_waits = kernel.metrics().Get("gates.locked_descriptor_waits");
   if (trace) {
     out.trace_dropped = TraceDroppedTotal(kernel.ctx().trace);
     EmitHistLine(kernel.metrics(), w, "kernel", cpus);
   }
   if (trace && trace_path != nullptr) {
-    if (!TraceExporter::WriteFile(kernel.ctx().trace, trace_path)) {
-      std::fprintf(stderr, "trace export failed: %s\n", trace_path);
-    } else {
-      std::printf("trace written: %s\n", trace_path);
-    }
+    WriteTrace(kernel.ctx().trace, trace_path);
   }
   if (profile) {
     char title[96];
@@ -216,7 +136,7 @@ SmpResult RunKernel(const Workload& w, uint16_t cpus, bool trace, bool profile,
     pline.Field("workload", w.name).Field("cpus", uint64_t{cpus});
     EmitJson(FieldProfDomains(pline, kernel.ctx().prof));
     // One flamegraph export, from the most contended configuration.
-    if (w.mix_ops == 0 && cpus == 4) {
+    if (w.storm() && cpus == 4) {
       WriteFolded(kernel.ctx().prof, "bench_perf_smp.prof.folded");
     }
   }
@@ -245,8 +165,11 @@ int main(int argc, char** argv) {
       smoke ? std::vector<uint16_t>{1, 4} : std::vector<uint16_t>{1, 2, 4, 8};
   const Workload workloads[] = {
       // 4 x 24 pages = 96 > 64 frames: every touch faults.
-      {"fault_storm", 4, 24, smoke ? 1u : 4u, 0},
-      {"scheduler_mix", 8, 6, 0, smoke ? 24u : 120u},
+      {"fault_storm", workload::FaultStorm(smoke ? 1u : 4u)},
+      {"scheduler_mix", workload::Shape{.kind = workload::Kind::kComputeWrite,
+                                        .processes = 8,
+                                        .pages = 6,
+                                        .ops = smoke ? 24u : 120u}},
   };
 
   std::printf("=== P11: CPU-pool sweep (deterministic interleaving) ===\n\n");
@@ -258,12 +181,12 @@ int main(int argc, char** argv) {
     Cycles kernel_m1 = 0, baseline_m1 = 0;
     double baseline_prev_share = -1.0;
     for (uint16_t cpus : cpu_counts) {
-      const SmpResult b = RunBaseline(w, cpus, trace);
+      const SmpResult b = MeasureBaseline(w, cpus, trace);
       // Export the Chrome trace of the most contended kernel configuration:
       // the 4-CPU fault storm.
-      const bool want_export = trace && w.mix_ops == 0 && cpus == 4;
-      const SmpResult k = RunKernel(w, cpus, trace, profile,
-                                    want_export ? "bench_perf_smp.trace.json" : nullptr);
+      const bool want_export = trace && w.storm() && cpus == 4;
+      const SmpResult k = MeasureKernel(w, cpus, trace, profile,
+                                        want_export ? "bench_perf_smp.trace.json" : nullptr);
       if (!b.ok || !k.ok) {
         std::fprintf(stderr, "run failed (%s, %u cpus)\n", w.name, cpus);
         return 1;
@@ -313,7 +236,7 @@ int main(int argc, char** argv) {
       }
       // The collapse claim is about the lock-bound workload; the mix is the
       // contrast case (mostly compute, the lock is incidental).
-      if (w.mix_ops == 0 && cpus > 1) {
+      if (w.storm() && cpus > 1) {
         if (spin_share <= baseline_prev_share) {
           baseline_collapses = false;  // spin share must grow with the pool
         }

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/workload.h"
 #include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
@@ -21,13 +22,6 @@ namespace mks {
 // workload (real work charges cycles every pass).  Arming it does not change
 // any output — it only converts a livelock into a flight-recorder dump.
 inline constexpr uint64_t kBenchStallRounds = 10000;
-
-// `prefix` followed by `n` ("n" + std::to_string(n) trips GCC 12's
-// -Wrestrict false positive when inlined into a by-value argument).
-inline std::string Numbered(std::string prefix, uint64_t n) {
-  prefix += std::to_string(n);
-  return prefix;
-}
 
 // Arms the stall watchdog on a bench's config unless the bench chose its own
 // threshold.  Pass every bench KernelConfig through this at the construction
@@ -80,35 +74,41 @@ class JsonLine {
   std::string body_;
 };
 
-// Wall-clock anchor for host-throughput fields; dynamic-initialized at load,
-// so the first EmitJson already has the whole run behind it.
+// Process start, the first result line's host-time origin.
 inline const std::chrono::steady_clock::time_point kBenchHostStart =
     std::chrono::steady_clock::now();
 
 // Every result line also carries the host cost of producing it: `host_ns`
-// (wall time since process start) and `sim_cycles_per_host_sec` (simulated
-// cycles advanced across all clocks divided by that time).  Both are
-// host-dependent by design — they are the tracked throughput figure, not part
-// of the deterministic result — so MKS_BENCH_NO_HOST=1 suppresses them for
-// byte-stable output comparisons.
+// (wall time since the previous result line, or since process start for the
+// first), `sim_cycles_advanced` (simulated cycles advanced across all clocks
+// in that same interval) and `sim_cycles_per_host_sec` (their ratio).  All
+// three are host-dependent by design — the tracked throughput figure, not
+// part of the deterministic result — so MKS_BENCH_NO_HOST=1 suppresses them
+// for byte-stable output comparisons.
 inline void EmitJson(const JsonLine& line) {
   static const bool with_host = std::getenv("MKS_BENCH_NO_HOST") == nullptr;
   if (!with_host) {
     std::printf("{%s}\n", line.body().c_str());
     return;
   }
-  const auto elapsed = std::chrono::steady_clock::now() - kBenchHostStart;
+  // The previous row's marks: process start before the first row.
+  static std::chrono::steady_clock::time_point last_time = kBenchHostStart;
+  static Cycles last_cycles = 0;
+  const auto now = std::chrono::steady_clock::now();
   const uint64_t ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_time).count());
+  const Cycles advanced = Clock::total_advanced() - last_cycles;
+  last_time = now;
+  last_cycles = Clock::total_advanced();
   JsonLine with_fields = line;
   with_fields.Field("host_ns", ns);
-  // The raw tally lets a collector distinguish a bench that legitimately
-  // never advanced virtual time (host-level microbenchmarks) from one whose
+  // The raw tally lets a collector distinguish a row that legitimately
+  // advanced no virtual time (host-level microbenchmarks) from one whose
   // throughput wiring is broken: advanced > 0 with rate 0 is always a bug.
-  with_fields.Field("sim_cycles_advanced", Clock::total_advanced());
+  with_fields.Field("sim_cycles_advanced", advanced);
   with_fields.Field("sim_cycles_per_host_sec",
                     ns == 0 ? uint64_t{0}
-                            : static_cast<uint64_t>(static_cast<double>(Clock::total_advanced()) /
+                            : static_cast<uint64_t>(static_cast<double>(advanced) /
                                                     (static_cast<double>(ns) / 1e9)));
   std::printf("{%s}\n", with_fields.body().c_str());
 }
@@ -130,6 +130,15 @@ inline JsonLine& FieldHistogram(JsonLine& line, const Metrics& metrics,
   key.replace(base, std::string::npos, "_p99");
   line.Field(key, metrics.HistPercentile(hist, 0.99));
   return line;
+}
+
+// Writes the tracer's Chrome trace export to `path` and says so on stdout.
+inline void WriteTrace(const Tracer& trace, const char* path) {
+  if (!TraceExporter::WriteFile(trace, path)) {
+    std::fprintf(stderr, "trace export failed: %s\n", path);
+  } else {
+    std::printf("trace written: %s\n", path);
+  }
 }
 
 // Total trace records dropped across every CPU ring; 0 with tracing off.
@@ -219,12 +228,6 @@ inline void WriteFolded(const Prof& prof, const std::string& path) {
   std::fwrite(folded.data(), 1, folded.size(), f);
   std::fclose(f);
   std::fprintf(stderr, "profile: wrote %s\n", path.c_str());
-}
-
-inline Acl BenchWorldAcl() {
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
-  return acl;
 }
 
 // A booted kernel plus one user process; aborts the bench on failure.

@@ -5,28 +5,6 @@
 
 namespace mks {
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kMissingSegment:
-      return "missing_segment";
-    case FaultKind::kMissingPage:
-      return "missing_page";
-    case FaultKind::kLockedDescriptor:
-      return "locked_descriptor";
-    case FaultKind::kQuotaException:
-      return "quota_exception";
-    case FaultKind::kOutOfBounds:
-      return "out_of_bounds";
-    case FaultKind::kAccessViolation:
-      return "access_violation";
-    case FaultKind::kRingViolation:
-      return "ring_violation";
-  }
-  return "unknown";
-}
-
 AssociativeMemory::AssociativeMemory(uint16_t entries) {
   // Round down to a power-of-two number of kWays-wide sets; fewer than one
   // full set degenerates to a single direct set of `entries` ways.

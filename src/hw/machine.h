@@ -11,10 +11,12 @@
 // virtual-memory machinery.
 //
 // HwFeatures gates the paper's proposed processor additions (descriptor lock
-// bit, quota-exception bit, wakeup-waiting switch, lock-address register) so
-// the same substrate serves the baseline supervisor (features off) and the
-// new kernel (features on), making the paper's "minor hardware adjustments
-// make a significant difference" conclusion an ablation knob.
+// bit, quota-exception bit, second DSBR) so the same substrate serves the
+// baseline supervisor (features off) and the new kernel (features on),
+// making the paper's "minor hardware adjustments make a significant
+// difference" conclusion an ablation knob.  The wakeup-waiting switch and
+// lock-address register are always modelled: only the locked-descriptor
+// path, itself gated by the lock bit, uses them.
 #ifndef MKS_HW_MACHINE_H_
 #define MKS_HW_MACHINE_H_
 
@@ -101,7 +103,6 @@ struct DescriptorSegment {
 struct HwFeatures {
   bool descriptor_lock_bit = false;
   bool quota_exception_bit = false;
-  bool wakeup_waiting_switch = false;
   bool second_dsbr = false;
   // Associative memory: a small set-associative cache of recently resolved
   // (segno, page) translations, like the 6180's SDW/PTW associative memory.
@@ -117,7 +118,6 @@ struct HwFeatures {
   static HwFeatures KernelDesign() {
     return HwFeatures{.descriptor_lock_bit = true,
                       .quota_exception_bit = true,
-                      .wakeup_waiting_switch = true,
                       .second_dsbr = true,
                       .associative_memory = true};
   }
@@ -133,8 +133,6 @@ enum class FaultKind : uint8_t {
   kAccessViolation,
   kRingViolation,
 };
-
-std::string_view FaultKindName(FaultKind kind);
 
 struct Fault {
   FaultKind kind = FaultKind::kNone;

@@ -67,15 +67,11 @@ struct KernelContext {
   // this; descriptor mutations use the broadcast forms on `cpus`.
   Processor& cpu() { return cpus.cpu(current_cpu); }
 
-  // The current work window's virtual-time anchor.  Per-CPU local clocks
-  // (smp) only advance when a window's charges are accrued at its end, so
-  // mid-window code cannot read its own local "now" from smp alone.  The
-  // dispatcher calls AnchorWindow() when it selects a CPU; LocalNow() is
-  // then the CPU's local clock at window start plus the global-clock
-  // progress charged since — the local time the in-flight computation has
-  // actually reached.  With the default anchor (0, 0), LocalNow() equals the
-  // global clock: correct for directly driven work, where one computation
-  // runs at a time and the clock is globally monotone.
+  // The current CpuWindow's anchor.  Local clocks advance only when a
+  // window accrues, so LocalNow() — the CPU's local clock at window open
+  // plus the global-clock progress since — is the local time the in-flight
+  // computation has reached.  With no window opened yet it is the global
+  // clock: right for directly driven work, one computation at a time.
   Cycles window_anchor_local = 0;
   Cycles window_anchor_global = 0;
   void AnchorWindow() {
@@ -83,6 +79,60 @@ struct KernelContext {
     window_anchor_global = clock.now();
   }
   Cycles LocalNow() const { return window_anchor_local + (clock.now() - window_anchor_global); }
+};
+
+// One window of work on one simulated CPU — the only way work is put on a
+// CPU.  Opening it makes `cpu` the current CPU (in-flight references and the
+// tracer both follow it), anchors LocalNow(), and opens the profiler window
+// rooted at `root`.  Closing it accrues the global-clock progress since the
+// last accrual to `cpu` when positive, then closes the profiler window.
+// Accrue() settles the progress so far mid-window (a quantum accrues before
+// its requeue tail), so no cycle is accrued twice.
+class CpuWindow {
+ public:
+  CpuWindow(KernelContext* ctx, uint16_t cpu, ProfDomain root)
+      : ctx_(ctx), cpu_(cpu), prof_(Enter(ctx, cpu), cpu, root), start_(ctx->clock.now()),
+        mark_(start_) {}
+  ~CpuWindow() { Close(); }
+  CpuWindow(const CpuWindow&) = delete;
+  CpuWindow& operator=(const CpuWindow&) = delete;
+
+  // Accrues the progress since the window opened or last accrued; returns it.
+  Cycles Accrue() {
+    const Cycles delta = ctx_->clock.now() - mark_;
+    mark_ += delta;
+    if (delta > 0) {
+      ctx_->smp.Accrue(cpu_, delta);
+    }
+    return delta;
+  }
+
+  // Idempotent early close.
+  void Close() {
+    if (open_) {
+      Accrue();
+      prof_.Close();
+      open_ = false;
+    }
+  }
+
+  uint16_t cpu() const { return cpu_; }
+  Cycles start() const { return start_; }  // global clock at open
+
+ private:
+  static Prof* Enter(KernelContext* ctx, uint16_t cpu) {
+    ctx->current_cpu = cpu;
+    ctx->trace.SetCpu(cpu);
+    ctx->AnchorWindow();
+    return &ctx->prof;
+  }
+
+  KernelContext* ctx_;
+  uint16_t cpu_;
+  Prof::Window prof_;
+  Cycles start_;
+  Cycles mark_;
+  bool open_ = true;
 };
 
 // Canonical module names used in both the declared lattice and the runtime

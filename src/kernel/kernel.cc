@@ -50,6 +50,9 @@ Status Kernel::Boot() {
   if (booted_) {
     return Status(Code::kFailedPrecondition, "already booted");
   }
+  if (config_.cpu_count > CpuInterleave::kMaxCpus) {
+    return Status(Code::kInvalidArgument, "cpu_count exceeds the affinity-mask width");
+  }
   // Stage 1: the fixed pool of virtual processors, states wired in core.
   MKS_RETURN_IF_ERROR(vpm_->Init(config_.vp_count));
   // Stage 2: mount the packs.

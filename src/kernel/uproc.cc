@@ -184,12 +184,8 @@ Status UserProcessManager::SetAffinity(ProcessId pid, uint32_t cpu_mask) {
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
   }
-  if (cpu_mask != 0) {
-    const uint16_t n = ctx_->smp.count();
-    const uint32_t pool = n >= 32 ? ~0u : ((1u << n) - 1);
-    if ((cpu_mask & pool) == 0) {
-      return Status(Code::kInvalidArgument, "affinity mask excludes every CPU");
-    }
+  if (cpu_mask != 0 && (cpu_mask & ctx_->smp.PoolMask()) == 0) {
+    return Status(Code::kInvalidArgument, "affinity mask excludes every CPU");
   }
   it->second.affinity = cpu_mask;
   if (it->second.queued && rq_ != nullptr) {
@@ -210,9 +206,7 @@ uint32_t UserProcessManager::EffectiveMask(const Process& proc) const {
   if (proc.affinity == 0) {
     return 0;
   }
-  const uint16_t n = ctx_->smp.count();
-  const uint32_t pool = n >= 32 ? ~0u : ((1u << n) - 1);
-  return proc.affinity & pool;
+  return proc.affinity & ctx_->smp.PoolMask();
 }
 
 ProcContext* UserProcessManager::Context(ProcessId pid) {
@@ -294,12 +288,6 @@ void UserProcessManager::Finish(Process& proc, ProcState state, Status why) {
   }
 }
 
-void UserProcessManager::AccrueOutside(uint16_t cpu, Cycles since) {
-  if (const Cycles d = ctx_->clock.now() - since; d > 0) {
-    ctx_->smp.Accrue(cpu, d);
-  }
-}
-
 void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // The global ready list modelled as one shared cache line under one lock —
   // the traffic-controller picture.  Spin is real charged work (as in the
@@ -336,14 +324,12 @@ void UserProcessManager::EnqueueReady(Process& proc, uint16_t from_cpu, Cycles l
 }
 
 UserProcessManager::DispatchOutcome UserProcessManager::RunQuantumOn(Process& proc,
-                                                                     uint16_t cpu,
-                                                                     Cycles dispatch_start,
+                                                                     CpuWindow& window,
                                                                      bool affine_vp) {
+  const uint16_t cpu = window.cpu();
   auto accrue_quantum = [&] {
-    if (const Cycles d = ctx_->clock.now() - dispatch_start; d > 0) {
-      ctx_->smp.Accrue(cpu, d);
-      ctx_->trace.CloseSpan(dispatch_start, ev_quantum_, proc.pid.value, cpu,
-                            hist_quantum_);
+    if (window.Accrue() > 0) {
+      ctx_->trace.CloseSpan(window.start(), ev_quantum_, proc.pid.value, cpu, hist_quantum_);
     }
   };
   auto vp = affine_vp ? vpm_->AcquireIdleUserVp(cpu) : vpm_->AcquireIdleUserVp();
@@ -437,18 +423,12 @@ bool UserProcessManager::DispatchGlobal() {
     // to that CPU.
     const uint32_t mask = EffectiveMask(proc);
     const uint16_t cpu = mask == 0 ? ctx_->smp.NextCpu() : ctx_->smp.NextCpuIn(mask);
-    ctx_->current_cpu = cpu;
-    ctx_->trace.SetCpu(cpu);
-    ctx_->AnchorWindow();
-    Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-    const Cycles dispatch_start = ctx_->clock.now();
+    CpuWindow window(ctx_, cpu, ProfDomain::kDispatch);
     if (sched_costs_on()) {
       TouchReadyList(cpu, ctx_->smp.local_now(cpu));
     }
-    if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/false) ==
-        DispatchOutcome::kNoVp) {
-      AccrueOutside(cpu, dispatch_start);  // the list touch, if any
-      break;  // pool exhausted this pass
+    if (RunQuantumOn(proc, window, /*affine_vp=*/false) == DispatchOutcome::kNoVp) {
+      break;  // pool exhausted this pass; the window accrues the list touch
     }
     did_work = true;
     ++sched_progress_;
@@ -478,34 +458,27 @@ bool UserProcessManager::DispatchSharded() {
     });
     bool ran = false;
     for (uint16_t cpu : order) {
-      ctx_->current_cpu = cpu;
-      ctx_->trace.SetCpu(cpu);
-      ctx_->AnchorWindow();
-      Prof::Window window(&ctx_->prof, cpu, ProfDomain::kDispatch);
-      const Cycles dispatch_start = ctx_->clock.now();
+      // Every exit from this window — a fruitless steal scan included —
+      // accrues what it charged to `cpu`.
+      CpuWindow window(ctx_, cpu, ProfDomain::kDispatch);
       const RunQueueSet::Popped pop = rq_->Dequeue(cpu, ctx_->smp.local_now(cpu));
       if (!pop.ok) {
-        AccrueOutside(cpu, dispatch_start);  // fruitless steal scans charge
         continue;
       }
       auto it = procs_.find(ProcessId(pop.id));
       if (it == procs_.end()) {
-        AccrueOutside(cpu, dispatch_start);
         continue;  // destroyed while queued (Remove is the normal path)
       }
       Process& proc = it->second;
       proc.queued = false;
       if (proc.state != ProcState::kReady) {
-        AccrueOutside(cpu, dispatch_start);
         continue;
       }
-      if (RunQuantumOn(proc, cpu, dispatch_start, /*affine_vp=*/true) ==
-          DispatchOutcome::kNoVp) {
+      if (RunQuantumOn(proc, window, /*affine_vp=*/true) == DispatchOutcome::kNoVp) {
         // Pool exhausted: put the item back where the thief found work and
         // end the pass; the next pass retries with vps released.
         proc.queued = true;
         rq_->PushFront(pop.id, pop.mask, cpu);
-        AccrueOutside(cpu, dispatch_start);
         return did_work;
       }
       did_work = true;
@@ -513,9 +486,7 @@ bool UserProcessManager::DispatchSharded() {
       ++sched_progress_;
       if (proc.state == ProcState::kReady) {
         // Quantum expired: requeue with this CPU as the locality hint.
-        const Cycles t0 = ctx_->clock.now();
         EnqueueReady(proc, cpu, ctx_->smp.local_now(cpu));
-        AccrueOutside(cpu, t0);
       }
       break;  // recompute the least-behind order
     }
@@ -532,22 +503,12 @@ bool UserProcessManager::SchedulerPass() {
 
   // Level-1 activity first: device completions, daemons.  System tasks run
   // on the bootload CPU, as on the real machine.
-  ctx_->current_cpu = 0;
-  ctx_->trace.SetCpu(0);
-  ctx_->AnchorWindow();
-  Prof::Window level1_window(&ctx_->prof, 0, ProfDomain::kDispatch);
-  const Cycles level1_start = ctx_->clock.now();
+  CpuWindow level1(ctx_, 0, ProfDomain::kDispatch);
   ManagerScope level1_span(&ctx_->scopes, TraceSpan{.event = ev_level1_, .on_end = true});
   sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
   if (vpm_->RunKernelTasks()) {
     did_work = true;
   }
-
-  // The bootload CPU's local time during level-1 work (its accrued clock
-  // plus this window's progress) — what wake-path queue touches charge at.
-  auto level1_lnow = [&] {
-    return ctx_->smp.local_now(0) + (ctx_->clock.now() - level1_start);
-  };
 
   // Drain the real-memory queue: wake parked processes.
   if (queue_ != nullptr) {
@@ -556,7 +517,7 @@ bool UserProcessManager::SchedulerPass() {
       if (it != procs_.end() && it->second.state == ProcState::kBlocked) {
         it->second.state = ProcState::kReady;
         ctx_->trace.Instant(ev_wake_, it->second.pid.value, 1);
-        EnqueueReady(it->second, 0, level1_lnow());
+        EnqueueReady(it->second, 0, ctx_->LocalNow());
         did_work = true;
         ++sched_progress_;
       }
@@ -568,17 +529,16 @@ bool UserProcessManager::SchedulerPass() {
         ctx_->eventcounts.Read(proc.ctx.pending_wait.ec) >= proc.ctx.pending_wait.target) {
       proc.state = ProcState::kReady;
       ctx_->trace.Instant(ev_wake_, proc.pid.value, 0);
-      EnqueueReady(proc, 0, level1_lnow());
+      EnqueueReady(proc, 0, ctx_->LocalNow());
       did_work = true;
       ++sched_progress_;
     }
   }
 
-  if (const Cycles level1 = ctx_->clock.now() - level1_start; level1 > 0) {
-    ctx_->smp.Accrue(0, level1);
+  if (level1.Accrue() > 0) {
     level1_span.EndSpan();
   }
-  level1_window.Close();
+  level1.Close();
 
   // Dispatch ready processes onto idle virtual processors and run quanta.
   if (rq_ != nullptr ? DispatchSharded() : DispatchGlobal()) {
@@ -612,15 +572,8 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
           ctx_->smp.AdvanceAll(idle);
         }
         // Completion handlers are level-1 work on the bootload CPU.
-        ctx_->current_cpu = 0;
-        ctx_->trace.SetCpu(0);
-        ctx_->AnchorWindow();
-        Prof::Window window(&ctx_->prof, 0, ProfDomain::kDispatch);
-        const Cycles completion_start = ctx_->clock.now();
+        CpuWindow window(ctx_, 0, ProfDomain::kDispatch);
         sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
-        if (const Cycles d = ctx_->clock.now() - completion_start; d > 0) {
-          ctx_->smp.Accrue(0, d);
-        }
         continue;
       }
       if (AllDone()) {

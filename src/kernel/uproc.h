@@ -159,12 +159,10 @@ class UserProcessManager {
   // of the global ready list, and the sharded per-CPU queues.
   bool DispatchGlobal();
   bool DispatchSharded();
-  // One quantum on `cpu`, windowed from `dispatch_start`: vp acquisition
-  // (CPU-affine when `affine_vp`), process switch, state swap-in, the op
-  // loop, and the quantum's accrual.  kNoVp = vp pool exhausted, nothing
-  // charged or accrued yet.
-  DispatchOutcome RunQuantumOn(Process& proc, uint16_t cpu, Cycles dispatch_start,
-                               bool affine_vp);
+  // One quantum in `window`: vp acquisition (CPU-affine when `affine_vp`),
+  // process switch, state swap-in, the op loop, and the quantum's accrual.
+  // kNoVp = vp pool exhausted, nothing charged or accrued yet.
+  DispatchOutcome RunQuantumOn(Process& proc, CpuWindow& window, bool affine_vp);
   // Readies `proc` for dispatch: sharded mode enqueues it; legacy mode with
   // interconnect costs on touches the (modelled) global ready-list line.
   void EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow);
@@ -178,8 +176,6 @@ class UserProcessManager {
   bool sched_costs_on() const {
     return dcfg_.connect_cost > 0 && ctx_->smp.count() > 1;
   }
-  // Accrues charges made outside a quantum window (queue ops) to `cpu`.
-  void AccrueOutside(uint16_t cpu, Cycles since);
   // The stall watchdog's flight-recorder dump: profiler domain trees, tracer
   // ring tails, scheduler-lock owners, run-queue depths, and process states,
   // to stderr; then abort().

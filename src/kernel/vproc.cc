@@ -166,7 +166,10 @@ bool VirtualProcessorManager::RunTaskOn(uint16_t i) {
   }
   bool did_work = false;
   {
-    ManagerScope task(&ctx_->scopes, TraceSpan{.event = ev_kernel_task_, .proc = i});
+    // The task is its own kernel process: its body enters its manager afresh
+    // (a barrier), so dispatching it records no call edge out of this one.
+    ManagerScope task(&ctx_->scopes, kBarrier, kInheritActivity,
+                      TraceSpan{.event = ev_kernel_task_, .proc = i});
     did_work = v.task();
     task.set_span_arg(did_work ? 1 : 0);
   }

@@ -45,6 +45,9 @@ namespace mks {
 
 class CpuInterleave {
  public:
+  // Affinity masks are 32 bits wide, one bit per CPU: the pool's ceiling.
+  static constexpr uint16_t kMaxCpus = 32;
+
   CpuInterleave(uint16_t cpu_count, Metrics* metrics) : metrics_(metrics) {
     if (cpu_count == 0) {
       cpu_count = 1;
@@ -136,6 +139,11 @@ class CpuInterleave {
 
   Cycles local_now(uint16_t cpu) const { return cpus_[cpu].local + base_; }
 
+  // Affinity-mask bits of the whole pool (bit k = CPU k).
+  uint32_t PoolMask() const {
+    return count() >= kMaxCpus ? ~0u : (1u << count()) - 1u;
+  }
+
   // Simulated-parallel completion time: the furthest-ahead local clock.
   Cycles Makespan() const { return max_local_ + base_; }
 
@@ -147,10 +155,6 @@ class CpuInterleave {
     MetricId id_busy_cycles = 0;
     MetricId id_quanta = 0;
   };
-
-  uint32_t PoolMask() const {
-    return count() >= 32 ? ~0u : (1u << count()) - 1u;
-  }
 
   // Winner of two leaves: the smaller local clock, the left (lower) index on
   // ties.  `a` is always the left child, so `<=` encodes the tie-break.

@@ -12,11 +12,11 @@
 // The hard invariant (tests/prof_test.cc): per CPU, attributed cycles ==
 // that CPU's local clock advance.  Local clocks move only through
 // CpuInterleave's Accrue, AdvanceAll and AlignAll, and the profiler hooks all
-// three.  A `Prof::Window` brackets each accrual window (opened where the
-// kernel calls KernelContext::AnchorWindow, closed after the matching
-// Accrue) and attributes only the frames entered after it opened; frames
-// entered with no window open stay inert, so construction-time work never
-// pollutes the trees.  AdvanceAll/AlignAll deltas go to `idle` on both sides
+// three.  A `Prof::Window` brackets each accrual window (the kernel's
+// CpuWindow opens it and closes it after the window's Accrue) and
+// attributes only the frames entered after it opened; frames entered with
+// no window open stay inert, so construction-time work never pollutes the
+// trees.  AdvanceAll/AlignAll deltas go to `idle` on both sides
 // of the ledger.  Disabled, every entry point early-returns on one branch.
 //
 // The stall watchdog is independent of attribution (benches arm it without
@@ -109,11 +109,11 @@ class Prof {
 
   // ---- accrual windows -----------------------------------------------
 
-  // Brackets one accrual window on `cpu`: open where the dispatcher anchors
-  // the window (KernelContext::AnchorWindow), destroy after the matching
-  // CpuInterleave::Accrue.  Everything charged to the global clock in
-  // between is attributed — to the manager-less `root` cell by default, to
-  // the innermost cell when a frame entered after the window opened.
+  // Brackets one accrual window on `cpu`: opened by the kernel's CpuWindow,
+  // closed after its CpuInterleave::Accrue.  Everything charged to the
+  // global clock in between is attributed — to the manager-less `root` cell
+  // by default, to the innermost cell when a frame entered after the window
+  // opened.
   class Window {
    public:
     Window(Prof* prof, uint16_t cpu, ProfDomain root)

@@ -7,22 +7,26 @@
 namespace mks {
 namespace {
 
-Subject UserSubject(const std::string& person = "Jones", uint8_t level = 0) {
-  return Subject{Principal{person, "Projx"}, Label(level, 0), /*ring=*/4};
-}
-
-Acl OpenAcl() {
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
-  return acl;
-}
-
 TEST(KernelBoot, BootSucceeds) {
   Kernel kernel{KernelConfig{}};
   ASSERT_TRUE(kernel.Boot().ok());
   EXPECT_TRUE(kernel.booted());
   EXPECT_TRUE(kernel.core_segments().sealed());
   EXPECT_GT(kernel.page_frames().free_frames(), 0u);
+}
+
+// Affinity masks are 32 bits wide, so a pool past 32 CPUs cannot be
+// addressed by them: Boot refuses it instead of shifting past the mask.
+TEST(KernelBoot, CpuCountIsBoundedByTheAffinityMaskWidth) {
+  KernelConfig config;
+  config.cpu_count = 33;
+  Kernel too_wide{config};
+  EXPECT_EQ(too_wide.Boot().code(), Code::kInvalidArgument);
+  EXPECT_FALSE(too_wide.booted());
+  config.cpu_count = 32;
+  Kernel widest{config};
+  ASSERT_TRUE(widest.Boot().ok());
+  EXPECT_EQ(widest.ctx().smp.PoolMask(), ~0u);
 }
 
 TEST(KernelBoot, CoreSegmentsAreFixedAfterBoot) {
@@ -36,13 +40,13 @@ TEST(KernelEndToEnd, CreateWriteReadSegment) {
   Kernel kernel{KernelConfig{}};
   ASSERT_TRUE(kernel.Boot().ok());
 
-  auto pid = kernel.processes().CreateProcess(UserSubject());
+  auto pid = kernel.processes().CreateProcess(TestSubject());
   ASSERT_TRUE(pid.ok());
   ProcContext* ctx = kernel.processes().Context(*pid);
   ASSERT_NE(ctx, nullptr);
 
   KernelGates& gates = kernel.gates();
-  auto seg = gates.CreateSegment(*ctx, gates.RootId(), "alpha", OpenAcl(), Label::SystemLow());
+  auto seg = gates.CreateSegment(*ctx, gates.RootId(), "alpha", WorldAcl(), Label::SystemLow());
   ASSERT_TRUE(seg.ok()) << seg.status();
 
   auto segno = gates.Initiate(*ctx, *seg);
@@ -65,12 +69,12 @@ TEST(KernelEndToEnd, CreateWriteReadSegment) {
 TEST(KernelEndToEnd, SearchFindsCreatedEntry) {
   Kernel kernel{KernelConfig{}};
   ASSERT_TRUE(kernel.Boot().ok());
-  auto pid = kernel.processes().CreateProcess(UserSubject());
+  auto pid = kernel.processes().CreateProcess(TestSubject());
   ASSERT_TRUE(pid.ok());
   ProcContext* ctx = kernel.processes().Context(*pid);
   KernelGates& gates = kernel.gates();
 
-  auto seg = gates.CreateSegment(*ctx, gates.RootId(), "beta", OpenAcl(), Label::SystemLow());
+  auto seg = gates.CreateSegment(*ctx, gates.RootId(), "beta", WorldAcl(), Label::SystemLow());
   ASSERT_TRUE(seg.ok());
   auto found = gates.Search(*ctx, gates.RootId(), "beta");
   ASSERT_TRUE(found.ok());
@@ -86,7 +90,7 @@ TEST(KernelEndToEnd, DataSurvivesDeactivationCycles) {
   config.ast_slots = 8;
   Kernel kernel{config};
   ASSERT_TRUE(kernel.Boot().ok());
-  auto pid = kernel.processes().CreateProcess(UserSubject());
+  auto pid = kernel.processes().CreateProcess(TestSubject());
   ASSERT_TRUE(pid.ok());
   ProcContext* ctx = kernel.processes().Context(*pid);
   KernelGates& gates = kernel.gates();
@@ -94,7 +98,7 @@ TEST(KernelEndToEnd, DataSurvivesDeactivationCycles) {
   // Create several segments and fill pages, cycling the small AST/memory.
   std::vector<Segno> segnos;
   for (int i = 0; i < 4; ++i) {
-    auto seg = gates.CreateSegment(*ctx, gates.RootId(), Numbered("f", i), OpenAcl(),
+    auto seg = gates.CreateSegment(*ctx, gates.RootId(), Numbered("f", i), WorldAcl(),
                                    Label::SystemLow());
     ASSERT_TRUE(seg.ok()) << seg.status();
     auto segno = gates.Initiate(*ctx, *seg);
@@ -120,14 +124,14 @@ TEST(KernelEndToEnd, RuntimeCallsStayInsideDeclaredLattice) {
   config.ast_slots = 8;
   Kernel kernel{config};
   ASSERT_TRUE(kernel.Boot().ok());
-  auto pid = kernel.processes().CreateProcess(UserSubject());
+  auto pid = kernel.processes().CreateProcess(TestSubject());
   ASSERT_TRUE(pid.ok());
   ProcContext* ctx = kernel.processes().Context(*pid);
   KernelGates& gates = kernel.gates();
 
-  auto dir = gates.CreateDirectory(*ctx, gates.RootId(), "sub", OpenAcl(), Label::SystemLow());
+  auto dir = gates.CreateDirectory(*ctx, gates.RootId(), "sub", WorldAcl(), Label::SystemLow());
   ASSERT_TRUE(dir.ok());
-  auto seg = gates.CreateSegment(*ctx, *dir, "data", OpenAcl(), Label::SystemLow());
+  auto seg = gates.CreateSegment(*ctx, *dir, "data", WorldAcl(), Label::SystemLow());
   ASSERT_TRUE(seg.ok());
   auto segno = gates.Initiate(*ctx, *seg);
   ASSERT_TRUE(segno.ok());

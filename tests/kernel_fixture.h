@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "bench/workload.h"
 #include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
 
@@ -15,17 +16,19 @@ inline Subject TestSubject(const std::string& person = "Jones", uint8_t level = 
   return Subject{Principal{person, "Projx"}, Label(level, compartments), /*ring=*/4};
 }
 
-// `prefix` followed by `n` ("U" + std::to_string(n) trips GCC 12's
-// -Wrestrict false positive when inlined into a by-value argument).
-inline std::string Numbered(std::string prefix, uint64_t n) {
-  prefix += std::to_string(n);
-  return prefix;
-}
-
-inline Acl WorldAcl() {
-  Acl acl;
-  acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
-  return acl;
+// The tests' compute + paged-write mix: six processes U0..U5, compute every
+// third op, otherwise op n of process i writes 7n+i into its own segment.
+constexpr workload::Shape TestMix(uint32_t ops, uint32_t quantum = 0, uint32_t pages = 10) {
+  return workload::Shape{.kind = workload::Kind::kComputeWrite,
+                         .processes = 6,
+                         .pages = pages,
+                         .ops = ops,
+                         .compute = 25,
+                         .quantum = quantum,
+                         .populate = false,
+                         .value_per_op = 7,
+                         .value_per_process = 1,
+                         .person = "U"};
 }
 
 inline Acl OwnerOnlyAcl(const std::string& person) {

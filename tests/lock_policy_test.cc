@@ -161,79 +161,28 @@ TEST(LockPolicyDeathTest, AndersonOverSubscriptionAbortsLoudly) {
 // lock under contention at quantum 3 and connect cost 200).
 // ---------------------------------------------------------------------------
 
-struct RunResult {
-  std::map<std::string, uint64_t, std::less<>> counters;
-  std::vector<std::string> audit;
-  Cycles clock = 0;
-  std::vector<Word> values;
+constexpr workload::Shape kMix = TestMix(48, /*quantum=*/3);
+
+// The mix's snapshot plus the global ready-list lock's handoff record.
+struct PolicyRun : workload::Snapshot {
   uint64_t lock_contended = 0;
   uint64_t lock_handoffs = 0;
   Cycles lock_handoff_cycles = 0;
   uint64_t lock_max_queue_depth = 0;
-  bool all_done = false;
-  bool ok = false;
 };
 
-RunResult RunMixed(const KernelConfig& config) {
-  RunResult out;
+PolicyRun RunPolicy(const KernelConfig& config) {
+  PolicyRun out;
   Kernel kernel{config};
   if (!kernel.Boot().ok()) {
     return out;
   }
-  kernel.processes().set_quantum(3);
-  PathWalker walker(&kernel.gates());
-  std::vector<ProcessId> pids;
-  std::vector<Segno> segnos;
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 48; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(25));
-      } else {
-        program.push_back(UserOp::Write(*segno, (n % 10) * kPageWords + n, n * 7 + i));
-      }
-    }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    segnos.push_back(*segno);
-  }
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto word = kernel.gates().Read(*kernel.processes().Context(pids[i]), segnos[i],
-                                    7 * kPageWords + 47);
-    if (!word.ok()) {
-      return out;
-    }
-    out.values.push_back(*word);
-  }
-  out.all_done = kernel.processes().AllDone();
-  out.audit = kernel.AuditIntegrity();
-  out.counters = kernel.metrics().counters();
-  out.clock = kernel.clock().now();
+  static_cast<workload::Snapshot&>(out) = workload::Run(kernel, kMix, 1000000);
   const SimSpinLock& lock = kernel.processes().list_lock();
   out.lock_contended = lock.contended();
   out.lock_handoffs = lock.handoffs();
   out.lock_handoff_cycles = lock.handoff_cycles();
   out.lock_max_queue_depth = lock.max_queue_depth();
-  out.ok = true;
   return out;
 }
 
@@ -251,10 +200,10 @@ TEST(LockPolicyEquivalence, PoliciesNeverChangeWhatProgramsCompute) {
   // Policies price the handoff; they never reorder grants.  Every policy
   // computes identical stored values and finishes cleanly, and the traffic
   // ordering holds: tas <= anderson == mcs <= ticket in total clock.
-  const RunResult tas = RunMixed(PolicyKernelConfig(4, LockPolicy::kTestAndSet));
-  const RunResult ticket = RunMixed(PolicyKernelConfig(4, LockPolicy::kTicket));
-  const RunResult anderson = RunMixed(PolicyKernelConfig(4, LockPolicy::kAnderson));
-  const RunResult mcs = RunMixed(PolicyKernelConfig(4, LockPolicy::kMcs));
+  const PolicyRun tas = RunPolicy(PolicyKernelConfig(4, LockPolicy::kTestAndSet));
+  const PolicyRun ticket = RunPolicy(PolicyKernelConfig(4, LockPolicy::kTicket));
+  const PolicyRun anderson = RunPolicy(PolicyKernelConfig(4, LockPolicy::kAnderson));
+  const PolicyRun mcs = RunPolicy(PolicyKernelConfig(4, LockPolicy::kMcs));
   ASSERT_TRUE(tas.ok);
   ASSERT_TRUE(ticket.ok);
   ASSERT_TRUE(anderson.ok);
@@ -291,8 +240,8 @@ TEST(LockPolicyDeterminism, DoubleRunsAreBitIdenticalAtFourAndSixteenCpus) {
     for (uint16_t cpus : {uint16_t{4}, uint16_t{16}}) {
       SCOPED_TRACE(std::string(LockPolicyName(policy)) + " @ " + std::to_string(cpus));
       const KernelConfig config = PolicyKernelConfig(cpus, policy);
-      const RunResult a = RunMixed(config);
-      const RunResult b = RunMixed(config);
+      const PolicyRun a = RunPolicy(config);
+      const PolicyRun b = RunPolicy(config);
       ASSERT_TRUE(a.ok);
       ASSERT_TRUE(b.ok);
       EXPECT_EQ(a.counters, b.counters);
@@ -311,8 +260,8 @@ TEST(LockPolicyDeterminism, ShardedRunQueuesAcceptThePolicyDeterministically) {
   KernelConfig config = PolicyKernelConfig(4, LockPolicy::kMcs);
   config.sharded_runqueues = true;
   config.steal = true;
-  const RunResult a = RunMixed(config);
-  const RunResult b = RunMixed(config);
+  const PolicyRun a = RunPolicy(config);
+  const PolicyRun b = RunPolicy(config);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.counters, b.counters);
@@ -320,7 +269,7 @@ TEST(LockPolicyDeterminism, ShardedRunQueuesAcceptThePolicyDeterministically) {
   EXPECT_EQ(a.values, b.values);
   KernelConfig tas = config;
   tas.lock_policy = LockPolicy::kTestAndSet;
-  const RunResult t = RunMixed(tas);
+  const PolicyRun t = RunPolicy(tas);
   ASSERT_TRUE(t.ok);
   EXPECT_EQ(a.values, t.values);
 }

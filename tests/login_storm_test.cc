@@ -99,17 +99,8 @@ StormTrace RunStorm(uint16_t cpus, int users, KernelConfig config = KernelConfig
 
   std::vector<ProcessId> pid_of(static_cast<size_t>(users));
   auto drive = [&](auto&& op) -> bool {
-    const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    Prof::Window window(&kctx.prof, cpu, ProfDomain::kSessionSetup);
-    const Cycles t0 = kernel.clock().now();
-    if (!op()) {
-      return false;
-    }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
-    return true;
+    CpuWindow window(&kctx, kctx.smp.NextCpu(), ProfDomain::kSessionSetup);
+    return op();
   };
   auto login = [&](int u) {
     auto pid = service.Login(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(0, 0));

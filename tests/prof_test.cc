@@ -175,68 +175,31 @@ KernelConfig ProfConfigFor(uint16_t cpus) {
 // P11 shape: private paged working sets larger than memory, so dispatch,
 // fault service, and paging I/O all run; each program ends with a gate call
 // (an eventcount advance) from inside its quantum.
-void RunFaultStorm(Kernel& kernel) {
-  PathWalker walker(&kernel.gates());
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("F" + std::to_string(i)));
-    ASSERT_TRUE(pid.ok());
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>f" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    ASSERT_TRUE(entry.ok());
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    ASSERT_TRUE(segno.ok());
-    auto done = kernel.gates().CreateEventcount(*ctx, Label::SystemLow());
-    ASSERT_TRUE(done.ok());
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 40; ++n) {
-      program.push_back(n % 3 == 0 ? UserOp::Compute(25)
-                                   : UserOp::Write(*segno, (n % 10) * kPageWords + n, n + 1));
-    }
-    program.push_back(UserOp::Advance(*done));
-    ASSERT_TRUE(kernel.processes().SetProgram(*pid, std::move(program)).ok());
-  }
-  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(1000000).ok());
-}
+constexpr workload::Shape kFaultStorm{.kind = workload::Kind::kComputeWrite,
+                                      .processes = 6,
+                                      .pages = 10,
+                                      .ops = 40,
+                                      .compute = 25,
+                                      .populate = false,
+                                      .value_base = 1,
+                                      .advance_when_done = true,
+                                      .path = ">work>f",
+                                      .person = "F"};
 
 // P12 shape: every process sweeps the SAME segment with async paging on, so
 // CPUs collide on in-flight pages and park on locked descriptors.
-void RunSharedStorm(Kernel& kernel) {
-  PathWalker walker(&kernel.gates());
-  std::vector<ProcessId> pids;
-  std::vector<ProcContext*> ctxs;
-  for (uint32_t i = 0; i < 4; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject("S" + std::to_string(i)));
-    ASSERT_TRUE(pid.ok());
-    pids.push_back(*pid);
-    ctxs.push_back(kernel.processes().Context(*pid));
-  }
-  auto entry = walker.CreateSegment(*ctxs[0], ">work>shared", WorldAcl(), Label::SystemLow());
-  ASSERT_TRUE(entry.ok());
-  constexpr uint32_t kPages = 24;
-  for (uint32_t i = 0; i < pids.size(); ++i) {
-    auto segno = kernel.gates().Initiate(*ctxs[i], *entry);
-    ASSERT_TRUE(segno.ok());
-    if (i == 0) {
-      for (uint32_t p = 0; p < kPages; ++p) {
-        ASSERT_TRUE(kernel.gates().Write(*ctxs[0], *segno, p * kPageWords, p + 1).ok());
-      }
-    }
-    std::vector<UserOp> program;
-    const uint32_t start = i * (kPages / 4);
-    for (uint32_t p = 0; p < 2 * kPages; ++p) {
-      program.push_back(UserOp::Read(*segno, ((start + p) % kPages) * kPageWords));
-    }
-    ASSERT_TRUE(kernel.processes().SetProgram(pids[i], std::move(program)).ok());
-  }
-  ASSERT_TRUE(kernel.processes().RunUntilQuiescent(2000000).ok());
-}
+constexpr workload::Shape kSharedStorm{.kind = workload::Kind::kSharedSweep,
+                                       .processes = 4,
+                                       .pages = 24,
+                                       .rounds = 2,
+                                       .path = ">work>shared",
+                                       .person = "S"};
 
 TEST(ProfInvariant, FaultStormBalancesAtEveryPoolSize) {
   for (uint16_t cpus : {uint16_t{1}, uint16_t{4}, uint16_t{16}}) {
     Kernel kernel{ProfConfigFor(cpus)};
     ASSERT_TRUE(kernel.Boot().ok());
-    RunFaultStorm(kernel);
+    ASSERT_TRUE(workload::Run(kernel, kFaultStorm, 1000000).ok);
     ExpectLedgerBalanced(kernel);
   }
 }
@@ -249,7 +212,7 @@ TEST(ProfInvariant, SharedSegmentStormBalancesAtEveryPoolSize) {
     config.async_paging = true;
     Kernel kernel{config};
     ASSERT_TRUE(kernel.Boot().ok());
-    RunSharedStorm(kernel);
+    ASSERT_TRUE(workload::Run(kernel, kSharedStorm, 2000000).ok);
     ExpectLedgerBalanced(kernel);
   }
 }
@@ -275,13 +238,8 @@ TEST(ProfInvariant, DirectDrivenWindowsBalanceAtEveryPoolSize) {
     }
     kctx.smp.AlignAll();
     for (uint32_t i = 0; i < 64; ++i) {
-      const uint16_t cpu = kctx.smp.NextCpu();
-      kctx.current_cpu = cpu;
-      kctx.AnchorWindow();
-      Prof::Window window(&kctx.prof, cpu, ProfDomain::kGate);
-      const Cycles t0 = kernel.clock().now();
+      CpuWindow window(&kctx, kctx.smp.NextCpu(), ProfDomain::kGate);
       ASSERT_TRUE(walker.Walk(*ctx, ">lib>s" + std::to_string(i % 4)).ok());
-      kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
     }
     ExpectLedgerBalanced(kernel);
     // A naming walk is gate + directory-read time, by construction.
@@ -298,7 +256,7 @@ TEST(ProfInvariant, ManagerCellsSumToTheLedger) {
   for (uint16_t cpus : {uint16_t{1}, uint16_t{4}, uint16_t{16}}) {
     Kernel kernel{ProfConfigFor(cpus)};
     ASSERT_TRUE(kernel.Boot().ok());
-    RunFaultStorm(kernel);
+    ASSERT_TRUE(workload::Run(kernel, kFaultStorm, 1000000).ok);
     const Prof& prof = kernel.ctx().prof;
     std::array<Cycles, kProfDomainCount> by_activity{};
     std::map<std::pair<std::string, ProfDomain>, Cycles> cells;
@@ -321,7 +279,7 @@ TEST(ProfInvariant, ManagerCellsSumToTheLedger) {
 TEST(ProfInvariant, FaultStormPopulatesTheExpectedDomains) {
   Kernel kernel{ProfConfigFor(4)};
   ASSERT_TRUE(kernel.Boot().ok());
-  RunFaultStorm(kernel);
+  ASSERT_TRUE(workload::Run(kernel, kFaultStorm, 1000000).ok);
   const auto totals = kernel.ctx().prof.DomainTotals();
   EXPECT_GT(totals[static_cast<size_t>(ProfDomain::kDispatch)], 0u);
   EXPECT_GT(totals[static_cast<size_t>(ProfDomain::kUprocQuantum)], 0u);
@@ -334,7 +292,7 @@ TEST(ProfDeterminism, CollapsedStacksAreBitIdenticalAcrossRuns) {
   for (int run = 0; run < 2; ++run) {
     Kernel kernel{ProfConfigFor(4)};
     ASSERT_TRUE(kernel.Boot().ok());
-    RunFaultStorm(kernel);
+    ASSERT_TRUE(workload::Run(kernel, kFaultStorm, 1000000).ok);
     const std::string folded = kernel.ctx().prof.CollapsedStacks();
     EXPECT_FALSE(folded.empty());
     if (run == 0) {
@@ -358,7 +316,7 @@ TEST(ProfInvisibility, EnablingTheProfilerChangesNoObservableState) {
     config.profile.stall_rounds = on == 1 ? 10000 : 0;  // watchdog too
     Kernel kernel{config};
     ASSERT_TRUE(kernel.Boot().ok());
-    RunFaultStorm(kernel);
+    ASSERT_TRUE(workload::Run(kernel, kFaultStorm, 1000000).ok);
     counters[on] = kernel.metrics().counters();
     clocks[on] = kernel.clock().now();
     EXPECT_TRUE(kernel.AuditIntegrity().empty());

@@ -261,20 +261,11 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
   const PackId home_pack = probe->home.pack;
   const VtocIndex home_vtoc = probe->home.vtoc;
 
-  // Barrier into the measured region (see bench_perf_name_storm.cc): local
-  // clocks aligned and advanced to the global clock, so boot/setup release
-  // points cannot read as contention against the measured windows.
-  kctx.smp.AlignAll();
-  if (kernel.clock().now() > kctx.smp.Makespan()) {
-    kctx.smp.AdvanceAll(kernel.clock().now() - kctx.smp.Makespan());
-  }
+  workload::AlignToClock(kernel);
   const EntryId root = kernel.gates().RootId();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();
-    kctx.current_cpu = cpu;
-    kctx.trace.SetCpu(cpu);
-    kctx.AnchorWindow();
-    const Cycles t0 = kernel.clock().now();
+    CpuWindow window(&kctx, cpu, ProfDomain::kGate);
     if (i % 64 == 63) {
       // Bounce the shared segment between its real home and an alternate:
       // every KST binding in the system must follow.
@@ -290,7 +281,6 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
         return out;
       }
     }
-    kctx.smp.Accrue(cpu, kernel.clock().now() - t0);
   }
   for (uint16_t c = 0; c < cpus; ++c) {
     const auto* e = kernel.known_segments().Lookup(pids[c], segnos[c]);

@@ -225,139 +225,54 @@ TEST(EventQueuePool, FifoOrderSurvivesInterleavedScheduleAndRun) {
 // End-to-end: double-run byte-equality across the P11/P12/P13 shapes.
 // ---------------------------------------------------------------------------
 
-struct Snapshot {
-  std::map<std::string, uint64_t, std::less<>> counters;
-  std::string trace_json;
-  Cycles clock = 0;
-  Cycles makespan = 0;
-  bool ok = false;
-
-  friend bool operator==(const Snapshot& a, const Snapshot& b) {
-    return a.ok && b.ok && a.counters == b.counters && a.trace_json == b.trace_json &&
-           a.clock == b.clock && a.makespan == b.makespan;
-  }
-};
-
 enum class Shape { kFaultStorm, kSharedStorm, kRunQueueMix };
 
-// One run of a P11/P12/P13-shaped workload, everything observable captured.
-Snapshot RunShape(Shape shape, uint16_t cpus) {
-  Snapshot out;
+// The kernel configuration and workload of one P11/P12/P13-shaped run.
+struct ShapeRun {
   KernelConfig config;
-  config.memory_frames = 64;
-  config.records_per_pack = 8192;
-  config.cpu_count = cpus;
-  config.vp_count = 6;
-  config.trace.enabled = true;
-  if (shape == Shape::kSharedStorm) {
-    config.async_paging = true;  // P12: in-flight transfers keep PTWs locked
+  workload::Shape work;
+};
+
+ShapeRun SetUpShape(Shape shape, uint16_t cpus) {
+  ShapeRun run;
+  run.config.memory_frames = 64;
+  run.config.records_per_pack = 8192;
+  run.config.cpu_count = cpus;
+  run.config.vp_count = 6;
+  run.config.trace.enabled = true;
+  run.work = workload::Shape{.processes = 6, .pages = 24, .rounds = 2, .person = "U"};
+  switch (shape) {
+    case Shape::kFaultStorm:  // P11: 4 x 24 pages > 64 frames, every touch faults
+      run.work.processes = 4;
+      break;
+    case Shape::kSharedStorm:  // P12: everyone sweeps one segment, staggered
+      run.config.async_paging = true;  // in-flight transfers keep PTWs locked
+      run.work.kind = workload::Kind::kSharedSweep;
+      run.work.path = ">work>shared";
+      break;
+    case Shape::kRunQueueMix:  // P13: sharded queues + stealing, charged interconnect
+      run.config.sharded_runqueues = true;
+      run.config.steal = true;
+      run.config.connect_cost = 40;
+      run.work = TestMix(60, /*quantum=*/0, /*pages=*/8);
+      break;
   }
-  if (shape == Shape::kRunQueueMix) {
-    config.sharded_runqueues = true;  // P13: sharded queues + stealing,
-    config.steal = true;              // charged interconnect
-    config.connect_cost = 40;
-  }
-  Kernel kernel{config};
-  if (!kernel.Boot().ok()) {
-    return out;
-  }
-  PathWalker walker(&kernel.gates());
-  const uint32_t processes = shape == Shape::kFaultStorm ? 4 : 6;
-  std::vector<ProcessId> pids;
-  std::vector<ProcContext*> ctxs;
-  for (uint32_t i = 0; i < processes; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    pids.push_back(*pid);
-    ctxs.push_back(kernel.processes().Context(*pid));
-  }
-  if (shape == Shape::kSharedStorm) {
-    // P12: everyone sweeps one shared segment, staggered starts.
-    constexpr uint32_t kSharedPages = 24;
-    auto entry = walker.CreateSegment(*ctxs[0], ">work>shared", WorldAcl(), Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    for (uint32_t i = 0; i < processes; ++i) {
-      auto segno = kernel.gates().Initiate(*ctxs[i], *entry);
-      if (!segno.ok()) {
-        return out;
-      }
-      if (i == 0) {
-        for (uint32_t p = 0; p < kSharedPages; ++p) {
-          (void)kernel.gates().Write(*ctxs[0], *segno, p * kPageWords, p + 1);
-        }
-      }
-      std::vector<UserOp> program;
-      const uint32_t start = i * (kSharedPages / processes);
-      for (uint32_t r = 0; r < 2; ++r) {
-        for (uint32_t p = 0; p < kSharedPages; ++p) {
-          program.push_back(UserOp::Read(*segno, ((start + p) % kSharedPages) * kPageWords));
-        }
-      }
-      (void)kernel.processes().SetProgram(pids[i], std::move(program));
-    }
-  } else {
-    for (uint32_t i = 0; i < processes; ++i) {
-      auto entry = walker.CreateSegment(*ctxs[i], ">work>p" + std::to_string(i), WorldAcl(),
-                                        Label::SystemLow());
-      if (!entry.ok()) {
-        return out;
-      }
-      auto segno = kernel.gates().Initiate(*ctxs[i], *entry);
-      if (!segno.ok()) {
-        return out;
-      }
-      std::vector<UserOp> program;
-      if (shape == Shape::kFaultStorm) {
-        // P11: 4 x 24 pages > 64 frames, every touch faults.
-        for (uint32_t p = 0; p < 24; ++p) {
-          (void)kernel.gates().Write(*ctxs[i], *segno, p * kPageWords, p + 1);
-        }
-        for (uint32_t r = 0; r < 2; ++r) {
-          for (uint32_t p = 0; p < 24; ++p) {
-            program.push_back(UserOp::Read(*segno, p * kPageWords));
-          }
-        }
-      } else {
-        // P13: compute + paged writes, enough churn to exercise the queues.
-        for (uint32_t n = 0; n < 60; ++n) {
-          if (n % 3 == 0) {
-            program.push_back(UserOp::Compute(25));
-          } else {
-            program.push_back(UserOp::Write(*segno, (n % 8) * kPageWords + n, n * 7 + i));
-          }
-        }
-      }
-      (void)kernel.processes().SetProgram(pids[i], std::move(program));
-    }
-  }
-  kernel.ctx().smp.AlignAll();
-  if (!kernel.processes().RunUntilQuiescent(8000000).ok()) {
-    return out;
-  }
-  out.counters = kernel.metrics().counters();
-  out.trace_json = TraceExporter::Export(kernel.ctx().trace);
-  out.clock = kernel.clock().now();
-  out.makespan = kernel.ctx().smp.Makespan();
-  out.ok = true;
-  return out;
+  return run;
 }
 
 class ShapeDeterminism : public ::testing::TestWithParam<std::tuple<Shape, uint16_t>> {};
 
 TEST_P(ShapeDeterminism, DoubleRunIsByteIdentical) {
   const auto [shape, cpus] = GetParam();
-  const Snapshot a = RunShape(shape, cpus);
-  const Snapshot b = RunShape(shape, cpus);
+  const ShapeRun run = SetUpShape(shape, cpus);
+  const workload::Snapshot a = workload::Run(run.config, run.work, 8000000);
+  const workload::Snapshot b = workload::Run(run.config, run.work, 8000000);
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_TRUE(a.counters == b.counters);
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.clock, b.clock);
-  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.region.makespan, b.region.makespan);
   EXPECT_GT(a.counters.at("hw.translations"), 0u);  // the run did real work
 }
 

@@ -28,66 +28,28 @@ namespace {
 // Kernel-level: determinism and invisibility at 4 CPUs.
 // ---------------------------------------------------------------------------
 
-struct TracedRun {
-  std::string trace_json;
-  std::map<std::string, uint64_t, std::less<>> counters;
-  Cycles clock = 0;
+struct TracedRun : workload::Snapshot {
   uint64_t fault_hist_count = 0;
   uint64_t dropped = 0;
-  bool ok = false;
 };
 
-// Fault-heavy mixed workload at 4 CPUs; exports the trace before teardown.
+// Fault-heavy mixed workload at 4 CPUs, traced or not.
 TracedRun RunTraced(bool trace_enabled) {
-  TracedRun out;
   KernelConfig config;
   config.cpu_count = 4;
   config.vp_count = 6;
   config.memory_frames = 48;  // 6 procs x 10 pages = 60 > 48: faults happen
   config.trace.enabled = trace_enabled;
   Kernel kernel{config};
+  TracedRun out;
   if (!kernel.Boot().ok()) {
     return out;
   }
-  PathWalker walker(&kernel.gates());
-  for (uint32_t i = 0; i < 6; ++i) {
-    auto pid = kernel.processes().CreateProcess(TestSubject(Numbered("U", i)));
-    if (!pid.ok()) {
-      return out;
-    }
-    ProcContext* ctx = kernel.processes().Context(*pid);
-    auto entry = walker.CreateSegment(*ctx, ">work>p" + std::to_string(i), WorldAcl(),
-                                      Label::SystemLow());
-    if (!entry.ok()) {
-      return out;
-    }
-    auto segno = kernel.gates().Initiate(*ctx, *entry);
-    if (!segno.ok()) {
-      return out;
-    }
-    std::vector<UserOp> program;
-    for (uint32_t n = 0; n < 60; ++n) {
-      if (n % 3 == 0) {
-        program.push_back(UserOp::Compute(25));
-      } else {
-        program.push_back(UserOp::Write(*segno, (n % 10) * kPageWords + n, n * 7 + i));
-      }
-    }
-    if (!kernel.processes().SetProgram(*pid, std::move(program)).ok()) {
-      return out;
-    }
-  }
-  if (!kernel.processes().RunUntilQuiescent(1000000).ok()) {
-    return out;
-  }
-  out.trace_json = TraceExporter::Export(kernel.ctx().trace);
-  out.counters = kernel.metrics().counters();
-  out.clock = kernel.clock().now();
+  static_cast<workload::Snapshot&>(out) = workload::Run(kernel, TestMix(60), 1000000);
   out.fault_hist_count = kernel.metrics().HistCount("fault.service_cycles");
   for (uint16_t cpu = 0; cpu < kernel.ctx().trace.cpu_count(); ++cpu) {
     out.dropped += kernel.ctx().trace.dropped(cpu);
   }
-  out.ok = true;
   return out;
 }
 
