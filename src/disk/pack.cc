@@ -22,6 +22,7 @@ DiskPack::DiskPack(PackId id, uint32_t record_count, uint32_t vtoc_slots, CostMo
       free_records_(record_count),
       record_used_(record_count, false),
       record_data_(record_count),
+      record_gen_(record_count, 0),
       vtoc_(vtoc_slots),
       cost_(cost),
       metrics_(metrics),
@@ -60,6 +61,7 @@ void DiskPack::FreeRecord(RecordIndex record) {
   record_used_[record.value] = false;
   record_data_[record.value].clear();
   record_data_[record.value].shrink_to_fit();
+  ++record_gen_[record.value];
   ++free_records_;
   metrics_->Inc(id_records_freed_);
 }
@@ -81,6 +83,7 @@ void DiskPack::WriteRecord(RecordIndex record, std::span<const Word> in) {
   cost_->Charge(CodeStyle::kOptimized, Costs::kDiskWriteLatency);
   metrics_->Inc(id_writes_);
   record_data_[record.value].assign(in.begin(), in.end());
+  ++record_gen_[record.value];
 }
 
 void DiskPack::CopyRecord(RecordIndex record, std::span<Word> out) const {
@@ -94,6 +97,7 @@ void DiskPack::CopyRecord(RecordIndex record, std::span<Word> out) const {
 void DiskPack::StoreRecord(RecordIndex record, std::span<const Word> in) {
   assert(record.value < record_count_ && in.size() == kPageWords);
   record_data_[record.value].assign(in.begin(), in.end());
+  ++record_gen_[record.value];
 }
 
 void DiskPack::QueueRead(RecordIndex record, uint64_t cookie) {
@@ -137,6 +141,7 @@ size_t DiskPack::DispatchBatch(size_t max_batch, std::vector<uint64_t>* complete
     if (req.write) {
       metrics_->Inc(id_writes_);
       record_data_[req.record.value] = std::move(req.data);
+      ++record_gen_[req.record.value];
     } else {
       metrics_->Inc(id_reads_);
       if (completed_reads != nullptr) {
@@ -201,13 +206,22 @@ uint32_t DiskPack::vtoc_in_use() const {
 void VolumeControl::ReadRecordLazy(PackId id, RecordIndex record, PrimaryMemory* memory,
                                    FrameIndex frame) {
   pack(id)->ChargeRead(record);
-  memory->BindPending(frame, this, (static_cast<uint64_t>(id.value) << 32) | record.value);
+  BindRecord(id, record, memory, frame);
+}
+
+void VolumeControl::BindRecord(PackId id, RecordIndex record, PrimaryMemory* memory,
+                               FrameIndex frame) {
+  const uint64_t generation = pack(id)->generation(record);
+  memory->BindPending(frame, this,
+                      (generation << 48) | (static_cast<uint64_t>(id.value) << 32) | record.value);
 }
 
 void VolumeControl::FillPage(uint64_t cookie, std::span<Word> out) const {
-  const PackId id(static_cast<uint16_t>(cookie >> 32));
+  const DiskPack* p = pack(PackId(static_cast<uint16_t>(cookie >> 32)));
   const RecordIndex record(static_cast<uint32_t>(cookie));
-  pack(id)->CopyRecord(record, out);
+  assert(p->generation(record) == static_cast<uint16_t>(cookie >> 48) &&
+         "record rewritten under a pending frame");
+  p->CopyRecord(record, out);
 }
 
 PackId VolumeControl::AddPack(uint32_t record_count, uint32_t vtoc_slots) {

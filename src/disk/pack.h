@@ -15,6 +15,7 @@
 #ifndef MKS_DISK_PACK_H_
 #define MKS_DISK_PACK_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -84,15 +85,15 @@ class DiskPack {
   // the full latency, every further record in the sorted sweep pays only
   // kDiskBatchedTransfer.  Writes staged their data at queue time, so the
   // source frame may be reused immediately; completed read cookies are
-  // returned for the caller to CopyRecord into the destination frame (the
-  // transfer latency was charged here, so the copy itself is free).
+  // returned for the caller to bind the destination frame to the record (the
+  // transfer latency was charged here, so the bind itself is free).
   void QueueRead(RecordIndex record, uint64_t cookie);
   void QueueWrite(RecordIndex record, std::span<const Word> in, uint64_t cookie);
   size_t queued_io() const { return io_queue_.size(); }
   // Returns the number of requests dispatched (0 when the queue is empty).
   size_t DispatchBatch(size_t max_batch, std::vector<uint64_t>* completed_reads);
   // Data copy without a latency charge, for transfers whose simulated time
-  // was accounted elsewhere (asynchronous completions, pack-to-pack moves).
+  // was accounted elsewhere (pack-to-pack moves, lazy fills).
   void CopyRecord(RecordIndex record, std::span<Word> out) const;
   void StoreRecord(RecordIndex record, std::span<const Word> in);
   // One word of a record without a copy or a charge (lazy-fill read-through).
@@ -100,6 +101,9 @@ class DiskPack {
     const std::vector<Word>& data = record_data_[record.value];
     return index < data.size() ? data[index] : 0;
   }
+  // Bumped (mod 2^16) whenever the record's contents change or it is freed:
+  // a frame bound to fill lazily from the record checks it at fill time.
+  uint16_t generation(RecordIndex record) const { return record_gen_[record.value]; }
 
   Result<VtocIndex> AllocateVtoc(SegmentUid uid, bool is_directory);
   // Frees the VTOC slot and every record its file map holds.
@@ -123,6 +127,7 @@ class DiskPack {
   uint32_t alloc_cursor_ = 0;
   std::vector<bool> record_used_;
   std::vector<std::vector<Word>> record_data_;  // lazily sized per record
+  std::vector<uint16_t> record_gen_;
   std::vector<VtocEntry> vtoc_;
   std::vector<IoRequest> io_queue_;
   CostModel* cost_;
@@ -142,8 +147,9 @@ class DiskPack {
 // The set of mounted packs plus placement policy.
 //
 // VolumeControl (not DiskPack) is the PageSource for lazy page fills: packs_
-// may reallocate as packs are mounted, so a stable owner decodes the
-// (pack, record) cookie at materialization time.
+// may reallocate as packs are mounted, so a stable owner decodes the cookie
+// at materialization time.  Cookie layout: record in bits 0-31, pack in
+// 32-47, the record's generation at bind time in 48-63.
 class VolumeControl : public PageSource {
  public:
   VolumeControl(CostModel* cost, Metrics* metrics, ScopeStack* scopes = nullptr)
@@ -158,10 +164,18 @@ class VolumeControl : public PageSource {
   // simulated cost is position-dependent) and binds the frame to fill from
   // this record on first touch.
   void ReadRecordLazy(PackId id, RecordIndex record, PrimaryMemory* memory, FrameIndex frame);
+  // The bind alone, for a transfer charged elsewhere (an asynchronous
+  // completion): no cycles, no counters.  The frame must read exactly the
+  // record's current contents, so the record's generation rides in the
+  // cookie and every fill asserts it is unchanged.
+  void BindRecord(PackId id, RecordIndex record, PrimaryMemory* memory, FrameIndex frame);
   void FillPage(uint64_t cookie, std::span<Word> out) const override;
   Word ReadWordAt(uint64_t cookie, size_t index) const override {
-    return packs_[static_cast<uint16_t>(cookie >> 32)].PeekWord(
-        RecordIndex(static_cast<uint32_t>(cookie)), index);
+    const DiskPack& p = packs_[static_cast<uint16_t>(cookie >> 32)];
+    const RecordIndex record(static_cast<uint32_t>(cookie));
+    assert(p.generation(record) == static_cast<uint16_t>(cookie >> 48) &&
+           "record rewritten under a pending frame");
+    return p.PeekWord(record, index);
   }
 
   // Placement for a new segment: the pack with the most free records that

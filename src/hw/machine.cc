@@ -169,13 +169,6 @@ std::span<Word> PrimaryMemory::FrameSpan(FrameIndex frame) {
                          kPageWords);
 }
 
-std::span<Word> PrimaryMemory::FrameSpanForOverwrite(FrameIndex frame) {
-  assert(frame.value < frame_count_);
-  pending_flag_[frame.value] = 0;  // every word is about to be written
-  return std::span<Word>(words_.data() + static_cast<size_t>(frame.value) * kPageWords,
-                         kPageWords);
-}
-
 void PrimaryMemory::ZeroFrame(FrameIndex frame) { BindPendingZero(frame); }
 
 bool PrimaryMemory::FrameIsZero(FrameIndex frame) {

@@ -285,11 +285,14 @@ class PrimaryMemory {
   void BindPending(FrameIndex frame, const PageSource* src, uint64_t cookie);
   void BindPendingZero(FrameIndex frame);
 
+  // True while the frame's fill is still deferred (host-side state only).
+  bool IsPending(FrameIndex frame) const {
+    assert(frame.value < frame_count_);
+    return pending_flag_[frame.value] != 0;
+  }
+
   // Span of the frame's words, fill applied.
   std::span<Word> FrameSpan(FrameIndex frame);
-  // Span for callers that overwrite every word (a device copy-in): any
-  // pending fill is cancelled instead of applied.
-  std::span<Word> FrameSpanForOverwrite(FrameIndex frame);
   void ZeroFrame(FrameIndex frame);
   // Scans the frame for the zero-page optimization; charges one cycle per
   // word scanned, which is the cost the paper notes the removal algorithm

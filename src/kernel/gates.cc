@@ -202,6 +202,10 @@ Status KernelGates::Reference(ProcContext& ctx, Segno segno, uint32_t offset, Ac
           MKS_RETURN_IF_ERROR(
               dirs_->CompleteSegmentMove(signal.uid, signal.new_pack, signal.new_vtoc));
         }
+        if (grown.code() == Code::kBlocked) {
+          ctx.pending_wait = wait;  // the move waits for a read in flight
+          return grown;
+        }
         MKS_RETURN_IF_ERROR(grown);
         break;
       }

@@ -223,7 +223,6 @@ Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uin
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kFaultEntry);
   ctx_->metrics.Inc(id_quota_exceptions_);
-  (void)wait;
   KstEntry* entry = Find(pid, segno);
   if (entry == nullptr || !entry->valid) {
     return Status(Code::kInvalidSegno, "quota exception on unknown segment");
@@ -243,7 +242,7 @@ Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uin
   // on the new pack, and hand the new home upward for the directory update.
   ctx_->metrics.Inc(id_full_pack_moves_);
   spaces_->DisconnectEverywhere(home.uid);
-  MKS_ASSIGN_OR_RETURN(SegmentManager::NewHome new_home, segs_->Relocate(ast));
+  MKS_ASSIGN_OR_RETURN(SegmentManager::NewHome new_home, segs_->Relocate(ast, wait));
   RelocateUid(home.uid, new_home.pack, new_home.vtoc);
   MKS_RETURN_IF_ERROR(segs_->GrowSegment(ast, page));
   if (signal != nullptr) {

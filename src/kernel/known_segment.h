@@ -106,7 +106,8 @@ class KnownSegmentManager {
   // the segment number, finds the governing quota cell by its static name,
   // and drives the grow chain.  On a full pack: disconnects every address
   // space, directs relocation, retries the growth on the new pack, and fills
-  // *signal for the upward trampoline.
+  // *signal for the upward trampoline.  kBlocked with *wait filled when the
+  // move must first wait for a page read in flight on the segment.
   Status HandleQuotaException(ProcessId pid, Segno segno, uint32_t page, MoveSignal* signal,
                               WaitSpec* wait);
 

@@ -364,29 +364,36 @@ size_t PageFrameManager::DispatchPackQueue(PackId pack) {
   return dispatched;
 }
 
-void PageFrameManager::CompletePostedRead(FrameIndex frame) {
+void PageFrameManager::InstallCompletedRead(FrameIndex frame) {
   FrameInfo& fi = info(frame);
-  if (fi.state != FrameState::kIoInProgress || fi.pt == nullptr) {
-    return;  // the segment was deactivated while the read was queued
-  }
-  VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-  if (entry != nullptr) {
-    // The transfer latency was charged by the dispatch round; the copy is
-    // free, like an asynchronous completion.
-    const FileMapEntry& fm = entry->file_map[fi.page];
-    ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record,
-                                            ctx_->memory.FrameSpanForOverwrite(frame));
-  }
   Ptw& ptw = fi.pt->ptws[fi.page];
+  ptw.locked = false;
+  const VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
+  if (entry == nullptr || !(entry->uid == fi.pt->owner)) {
+    ptw.in_core = false;
+    fi = FrameInfo{};
+    free_list_.push_back(frame);
+    return;
+  }
+  ctx_->volumes.BindRecord(fi.pack, entry->file_map[fi.page].record, &ctx_->memory, frame);
   ptw.frame = frame.value;
   ptw.in_core = true;
-  ptw.locked = false;
-  ptw.used = false;  // unreferenced until the scan actually arrives
+  ptw.used = false;  // no reference has resolved through it yet
   ptw.modified = false;
   fi.state = FrameState::kInUse;
-  vpm_->Advance(fi.seg_ec);
+  fi.posted_at = 0;
+}
+
+void PageFrameManager::CompletePostedRead(FrameIndex frame) {
+  const FrameInfo done = info(frame);
+  if (done.state != FrameState::kIoInProgress || done.pt == nullptr) {
+    return;  // the segment was deactivated while the read was queued
+  }
+  // The transfer latency was charged by the dispatch round.
+  InstallCompletedRead(frame);
+  vpm_->Advance(done.seg_ec);
   ctx_->metrics.Inc(id_io_completions_);
-  ctx_->trace.Instant(ev_io_complete_, 0, fi.page);
+  ctx_->trace.Instant(ev_io_complete_, 0, done.page);
 }
 
 bool PageFrameManager::PageIoDaemonStep() {
@@ -396,37 +403,25 @@ bool PageFrameManager::PageIoDaemonStep() {
     const Completion completion = completions_.front();
     completions_.pop_front();
     --pending_reads_;
-    FrameInfo& fi = info(completion.frame);
-    if (fi.state != FrameState::kIoInProgress || fi.pt == nullptr) {
+    const FrameInfo done = info(completion.frame);
+    if (done.state != FrameState::kIoInProgress || done.pt == nullptr) {
       continue;  // the segment was deactivated while the read was in flight
     }
-    VtocEntry* entry = ctx_->volumes.pack(fi.pack)->GetVtoc(fi.vtoc);
-    if (entry != nullptr) {
-      // The transfer latency already elapsed in simulated time; copy the
-      // data without re-charging it.
-      const FileMapEntry& fm = entry->file_map[fi.page];
-      auto span = ctx_->memory.FrameSpanForOverwrite(completion.frame);
-      ctx_->volumes.pack(fi.pack)->CopyRecord(fm.record, span);
-    }
-    Ptw& ptw = fi.pt->ptws[fi.page];
-    ptw.frame = completion.frame.value;
-    ptw.in_core = true;
-    ptw.locked = false;  // unlock the descriptor
-    fi.state = FrameState::kInUse;
+    // The transfer latency already elapsed in simulated time.
+    InstallCompletedRead(completion.frame);
     ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
     // Notify every waiter: level-1 vps via the eventcount, the parked user
     // process via the real-memory queue.
-    vpm_->Advance(fi.seg_ec);
+    vpm_->Advance(done.seg_ec);
     if (upward_queue_ != nullptr && completion.initiator.value != 0) {
       (void)upward_queue_->Push(
-          UpwardMessage{completion.initiator, /*code=*/1, /*payload=*/fi.page});
+          UpwardMessage{completion.initiator, /*code=*/1, /*payload=*/done.page});
     }
     ctx_->metrics.Inc(id_io_completions_);
     // Close the fault.page_service span opened when the read was posted: the
     // histogram gets the full fault -> park -> I/O -> wakeup latency.
-    ctx_->trace.CloseSpan(fi.posted_at, ev_fault_service_, completion.initiator.value,
-                          fi.page, hist_fault_service_);
-    fi.posted_at = 0;
+    ctx_->trace.CloseSpan(done.posted_at, ev_fault_service_, completion.initiator.value,
+                          done.page, hist_fault_service_);
     did_work = true;
   }
   // Dispatch the per-pack request queues: prefetch reads and batched daemon

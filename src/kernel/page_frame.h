@@ -188,6 +188,14 @@ class PageFrameManager {
   // reads; returns the number of requests dispatched.
   size_t DispatchPackQueue(PackId pack);
   void CompletePostedRead(FrameIndex frame);
+  // Installs the frame of a completed read, demand or prefetch: binds it to
+  // fill from the page's record on first touch, points the PTW at it and
+  // unlocks it.  Charges nothing; the callers make the completion's charges.
+  // When the page's home no longer holds its segment (the VTOC was freed or
+  // reused while the read was in flight) nothing is bound: the frame goes
+  // back to the free list and the PTW is left out of core and unlocked, so
+  // the waiters' retry faults the page from the segment's current home.
+  void InstallCompletedRead(FrameIndex frame);
   FrameInfo& info(FrameIndex frame) { return frames_[frame.value - first_frame_]; }
 
   KernelContext* ctx_;

@@ -197,7 +197,7 @@ Status SegmentManager::ServiceMissingPage(uint32_t slot, uint32_t page, ProcessI
                                   ast->page_ec, initiator, wait);
 }
 
-Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
+Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot, WaitSpec* wait) {
   ManagerScope scope(&ctx_->scopes, self_);
   AstEntry* ast = Get(slot);
   if (ast == nullptr) {
@@ -205,6 +205,16 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot) {
   }
   if (ast->connections != 0) {
     return Status(Code::kFailedPrecondition, "disconnect all address spaces before relocation");
+  }
+  for (const Ptw& ptw : ast->page_table.ptws) {
+    if (ptw.locked) {
+      if (wait != nullptr) {
+        wait->valid = true;
+        wait->ec = ast->page_ec;
+        wait->target = ctx_->eventcounts.Read(ast->page_ec) + 1;
+      }
+      return Status(Code::kBlocked, "page read in flight on the old home");
+    }
   }
   // Flush every resident page home first so the records are authoritative.
   for (uint32_t p = 0; p < ast->max_pages; ++p) {

@@ -84,7 +84,10 @@ class SegmentManager {
   // plus one page of growth headroom.  Requires connections == 0 (the layers
   // above disconnect all address spaces first).  Updates the AST entry's home
   // and returns it for the upward signal to the directory manager.
-  Result<NewHome> Relocate(uint32_t ast);
+  // kBlocked, with *wait filled, while a page read is in flight: the read
+  // still targets the old home, which must outlive it.  Retry after the
+  // segment's next page arrival.
+  Result<NewHome> Relocate(uint32_t ast, WaitSpec* wait = nullptr);
 
   // Connection bookkeeping, called by the address-space layer above.
   void NoteConnect(uint32_t ast);

@@ -137,5 +137,53 @@ TEST(Disk, CopyAndStoreSkipLatency) {
   EXPECT_EQ(out[100], 5u);
 }
 
+TEST(Disk, RecordGenerationAdvancesOnEveryRewriteAndFree) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto rec = pack->AllocateRecord();
+  ASSERT_TRUE(rec.ok());
+  const std::vector<Word> page(kPageWords, 3);
+  uint16_t gen = pack->generation(*rec);
+  pack->WriteRecord(*rec, page);
+  EXPECT_EQ(pack->generation(*rec), ++gen);
+  pack->StoreRecord(*rec, page);
+  EXPECT_EQ(pack->generation(*rec), ++gen);
+  pack->QueueWrite(*rec, page, 0);
+  EXPECT_EQ(pack->generation(*rec), gen);  // staged, not yet written
+  ASSERT_EQ(pack->DispatchBatch(1, nullptr), 1u);
+  EXPECT_EQ(pack->generation(*rec), ++gen);
+  std::vector<Word> out(kPageWords);
+  pack->ReadRecord(*rec, out);
+  pack->ChargeRead(*rec);
+  EXPECT_EQ(pack->generation(*rec), gen);  // reads leave it alone
+  pack->FreeRecord(*rec);
+  EXPECT_EQ(pack->generation(*rec), ++gen);
+}
+
+// A frame bound to fill from a record reads the record as it was at bind
+// time; a rewrite before the fill is the bug the generation check catches.
+TEST(Disk, PendingFrameFillsFromItsRecordAndTripsOnARewrite) {
+  DiskFixture fx;
+  const PackId id = fx.volumes.AddPack(4, 4);
+  DiskPack* pack = fx.volumes.pack(id);
+  auto rec = pack->AllocateRecord();
+  ASSERT_TRUE(rec.ok());
+  pack->StoreRecord(*rec, std::vector<Word>(kPageWords, 9));
+  PrimaryMemory memory(2, &fx.cost, &fx.metrics);
+  const FrameIndex frame(1);
+  fx.volumes.BindRecord(id, *rec, &memory, frame);
+  EXPECT_TRUE(memory.IsPending(frame));
+  EXPECT_EQ(memory.ReadWord(kPageWords + 7), 9u);
+  EXPECT_EQ(fx.clock.now(), Costs::kMemoryReference);  // the bind itself is free
+  EXPECT_EQ(memory.FrameSpan(frame)[100], 9u);
+  EXPECT_FALSE(memory.IsPending(frame));
+
+  fx.volumes.BindRecord(id, *rec, &memory, frame);
+  pack->StoreRecord(*rec, std::vector<Word>(kPageWords, 4));
+  EXPECT_DEBUG_DEATH((void)memory.ReadWord(kPageWords + 7), "rewritten under a pending frame");
+  EXPECT_DEBUG_DEATH((void)memory.FrameSpan(frame), "rewritten under a pending frame");
+}
+
 }  // namespace
 }  // namespace mks

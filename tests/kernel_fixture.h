@@ -37,6 +37,46 @@ inline Acl OwnerOnlyAcl(const std::string& person) {
   return acl;
 }
 
+// Lets posted page transfers land: idles the machine to its next event, runs
+// what fell due, then every kernel task (the page-I/O daemon among them).
+inline void RunPostedIo(Kernel& kernel) {
+  KernelContext& k = kernel.ctx();
+  if (!k.events.empty() && k.events.next_due() > k.clock.now()) {
+    const Cycles idle = k.events.next_due() - k.clock.now();
+    k.clock.Advance(idle);
+    k.smp.AdvanceAll(idle);
+  }
+  k.events.RunDue(k.clock.now());
+  (void)kernel.vprocs().RunKernelTasks();
+}
+
+// One reference made outside the scheduler and run to completion: while the
+// page is in transit (kBlocked), the posted I/O runs and the reference
+// retries.
+inline Result<Word> SettledRead(Kernel& kernel, ProcContext& ctx, Segno segno,
+                                uint32_t offset) {
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    auto value = kernel.gates().Read(ctx, segno, offset);
+    if (value.status().code() != Code::kBlocked) {
+      return value;
+    }
+    RunPostedIo(kernel);
+  }
+  return Status(Code::kInternal, "page never arrived");
+}
+
+inline Status SettledWrite(Kernel& kernel, ProcContext& ctx, Segno segno, uint32_t offset,
+                           Word value) {
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    Status st = kernel.gates().Write(ctx, segno, offset, value);
+    if (st.code() != Code::kBlocked) {
+      return st;
+    }
+    RunPostedIo(kernel);
+  }
+  return Status(Code::kInternal, "page never arrived");
+}
+
 // A booted kernel plus one logged-in test process.
 struct KernelFixture {
   explicit KernelFixture(KernelConfig config = KernelConfig{}) : kernel(config) {

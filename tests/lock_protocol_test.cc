@@ -117,5 +117,154 @@ TEST(LockProtocol, ManyProcessesSharingOneHotSegmentAllFinish) {
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
 }
 
+// A full-pack move must not free the old home under a read still in flight
+// to it.  The read lands in a frame that last held another segment's page
+// (777 at word 5); were the home freed first, the completion would find no
+// record to install and the page would read back the other segment's word.
+TEST(LockProtocol, RelocationWaitsForAReadInFlight) {
+  KernelConfig config = AsyncConfig();
+  config.pack_count = 2;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  SegmentManager& segs = fx.kernel.segments();
+  PageFrameManager& pfm = fx.kernel.page_frames();
+
+  auto moved = gates.CreateSegment(*fx.ctx, gates.RootId(), "moved", WorldAcl(),
+                                   Label::SystemLow());
+  auto other = gates.CreateSegment(*fx.ctx, gates.RootId(), "other", WorldAcl(),
+                                   Label::SystemLow());
+  ASSERT_TRUE(moved.ok());
+  ASSERT_TRUE(other.ok());
+  auto sm = gates.Initiate(*fx.ctx, *moved);
+  auto so = gates.Initiate(*fx.ctx, *other);
+  ASSERT_TRUE(sm.ok());
+  ASSERT_TRUE(so.ok());
+  const SegmentUid uid(moved->value);
+
+  ASSERT_TRUE(gates.Write(*fx.ctx, *sm, 5, 4242).ok());
+  const uint32_t slot = segs.FindIndex(uid);
+  AstEntry* ast = segs.Get(slot);
+  ASSERT_TRUE(pfm.EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                            ast->page_ec)
+                  .ok());
+  // Dirty the freed frame with another segment's page, then free it again.
+  ASSERT_TRUE(gates.Write(*fx.ctx, *so, 5, 777).ok());
+  AstEntry* other_ast = segs.Find(SegmentUid(other->value));
+  ASSERT_TRUE(pfm.EvictPage(&other_ast->page_table, 0, other_ast->pack, other_ast->vtoc,
+                            other_ast->quota_cell, other_ast->page_ec)
+                  .ok());
+
+  ASSERT_EQ(gates.Read(*fx.ctx, *sm, 5).status().code(), Code::kBlocked);
+  ASSERT_TRUE(gates.Terminate(*fx.ctx, *sm).ok());
+  const PackId old_pack = ast->pack;
+
+  auto home = segs.Relocate(slot);
+  if (!home.ok()) {
+    // The move waits for the transfer and then goes ahead.
+    EXPECT_EQ(home.status().code(), Code::kBlocked);
+    EXPECT_EQ(ast->pack.value, old_pack.value);
+  }
+  RunPostedIo(fx.kernel);
+  EXPECT_FALSE(ast->page_table.ptws[0].locked);
+  if (!home.ok()) {
+    home = segs.Relocate(slot);
+  }
+  ASSERT_TRUE(home.ok()) << home.status();
+  EXPECT_NE(home->pack.value, old_pack.value);
+
+  // The upward move signal: every KST binding and the directory entry learn
+  // the new home.
+  fx.kernel.known_segments().RelocateUid(uid, home->pack, home->vtoc);
+  ASSERT_TRUE(fx.kernel.directories().CompleteSegmentMove(uid, home->pack, home->vtoc).ok());
+
+  auto again = gates.Initiate(*fx.ctx, *moved);
+  ASSERT_TRUE(again.ok());
+  auto value = SettledRead(fx.kernel, *fx.ctx, *again, 5);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 4242u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// The same collision through the gates: one process has a read in flight on
+// a segment when another process's growth fills the segment's pack.  The
+// grower is told to wait for the segment's next page arrival, then its retry
+// moves the segment, and both processes see their data.
+TEST(LockProtocol, FullPackMoveWaitsForAReadInFlight) {
+  KernelConfig config = AsyncConfig();
+  config.pack_count = 2;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  auto reader_pid = fx.kernel.processes().CreateProcess(TestSubject("Reader"));
+  ASSERT_TRUE(reader_pid.ok());
+  ProcContext* reader = fx.kernel.processes().Context(*reader_pid);
+
+  auto seg = gates.CreateSegment(*fx.ctx, gates.RootId(), "grown", WorldAcl(),
+                                 Label::SystemLow());
+  ASSERT_TRUE(seg.ok());
+  auto mine = gates.Initiate(*fx.ctx, *seg);
+  auto theirs = gates.Initiate(*reader, *seg);
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(theirs.ok());
+  const SegmentUid uid(seg->value);
+  const uint32_t pages = 4;
+  ASSERT_TRUE(gates.Write(*fx.ctx, *mine, 5, 4242).ok());
+  for (uint32_t p = 1; p < pages; ++p) {
+    ASSERT_TRUE(gates.Write(*fx.ctx, *mine, p * kPageWords, p + 1).ok()) << p;
+  }
+  AstEntry* ast = fx.kernel.segments().Find(uid);
+  ASSERT_NE(ast, nullptr);
+
+  // Other holders take the rest of the pack: the next page raises the
+  // full-pack path.
+  DiskPack* full = fx.kernel.ctx().volumes.pack(ast->pack);
+  std::vector<RecordIndex> held;
+  while (full->free_records() > 0) {
+    auto record = full->AllocateRecord();
+    ASSERT_TRUE(record.ok());
+    held.push_back(*record);
+  }
+
+  // The reader's read of page 0 goes in flight.
+  if (ast->page_table.ptws[0].in_core) {
+    ASSERT_TRUE(fx.kernel.page_frames()
+                    .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                               ast->page_ec)
+                    .ok());
+  }
+  ASSERT_EQ(gates.Read(*reader, *theirs, 5).status().code(), Code::kBlocked);
+  const PackId old_pack = ast->pack;
+
+  // The growth that finds the pack full waits for the segment's page arrival.
+  const Status grow = gates.Write(*fx.ctx, *mine, pages * kPageWords, pages + 1);
+  ASSERT_EQ(grow.code(), Code::kBlocked) << grow;
+  EXPECT_TRUE(fx.ctx->pending_wait.valid);
+  EXPECT_EQ(fx.ctx->pending_wait.ec.value, ast->page_ec.value);
+  EXPECT_EQ(ast->pack.value, old_pack.value);
+  EXPECT_EQ(fx.kernel.metrics().Get("dir.moves_completed"), 0u);
+
+  RunPostedIo(fx.kernel);
+  EXPECT_GE(fx.kernel.ctx().eventcounts.Read(fx.ctx->pending_wait.ec),
+            fx.ctx->pending_wait.target);
+  const Status retried = SettledWrite(fx.kernel, *fx.ctx, *mine, pages * kPageWords, pages + 1);
+  ASSERT_TRUE(retried.ok()) << retried;
+  EXPECT_NE(ast->pack.value, old_pack.value);
+  EXPECT_EQ(fx.kernel.metrics().Get("dir.moves_completed"), 1u);
+
+  auto value = SettledRead(fx.kernel, *reader, *theirs, 5);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 4242u);
+  for (uint32_t p = 1; p <= pages; ++p) {
+    auto word = SettledRead(fx.kernel, *fx.ctx, *mine, p * kPageWords);
+    ASSERT_TRUE(word.ok()) << p << ": " << word.status();
+    EXPECT_EQ(*word, p + 1) << p;
+  }
+  for (RecordIndex record : held) {
+    full->FreeRecord(record);
+  }
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
 }  // namespace
 }  // namespace mks

@@ -316,6 +316,173 @@ TEST(PagingPipeline, PrefetchAccountingBalances) {
             m.Get("pfm.prefetch_hits") + m.Get("pfm.prefetch_waste"));
 }
 
+// ---- Asynchronous completions install lazily ----
+
+KernelConfig AsyncPipelineConfig() {
+  KernelConfig config;
+  config.memory_frames = 64;
+  config.async_paging = true;
+  config.paging_pipeline = PagingPipeline::Full();
+  return config;
+}
+
+TEST(AsyncCompletion, DemandReadLeavesTheFramePendingAndReadsBack) {
+  KernelFixture fx{AsyncPipelineConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const Segno segno = fx.MustCreate(">lazy>demand");
+  KernelGates& gates = fx.kernel.gates();
+  ASSERT_TRUE(gates.Write(*fx.ctx, segno, 5, 4242).ok());
+  AstEntry* ast = fx.kernel.segments().Find(
+      fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid);
+  ASSERT_NE(ast, nullptr);
+  PageFrameManager& pfm = fx.kernel.page_frames();
+  ASSERT_TRUE(pfm.EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                            ast->page_ec)
+                  .ok());
+
+  ASSERT_EQ(gates.Read(*fx.ctx, segno, 5).status().code(), Code::kBlocked);
+  RunPostedIo(fx.kernel);
+  const Ptw& ptw = ast->page_table.ptws[0];
+  ASSERT_TRUE(ptw.in_core);
+  ASSERT_FALSE(ptw.locked);
+  const FrameIndex frame(ptw.frame);
+  PrimaryMemory& memory = fx.kernel.ctx().memory;
+  // The completion bound the frame to its record; nothing was copied.
+  EXPECT_TRUE(memory.IsPending(frame));
+  EXPECT_EQ(fx.kernel.metrics().Get("pfm.io_completions"), 1u);
+
+  // Word reads are served through the record.
+  auto value = gates.Read(*fx.ctx, segno, 5);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 4242u);
+  auto zero = gates.Read(*fx.ctx, segno, 6);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0u);
+  EXPECT_TRUE(memory.IsPending(frame));
+
+  // The first write copies the page in, then lands on top of it.
+  ASSERT_TRUE(gates.Write(*fx.ctx, segno, 6, 17).ok());
+  EXPECT_FALSE(memory.IsPending(frame));
+  value = gates.Read(*fx.ctx, segno, 5);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 4242u);
+  value = gates.Read(*fx.ctx, segno, 6);
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, 17u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+TEST(AsyncCompletion, UntouchedPrefetchIsNeverMaterialized) {
+  KernelFixture fx{AsyncPipelineConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const Segno segno = fx.MustCreate(">lazy>ahead");
+  KernelGates& gates = fx.kernel.gates();
+  constexpr uint32_t kPages = 12;
+  for (uint32_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(gates.Write(*fx.ctx, segno, p * kPageWords, p + 1).ok()) << p;
+  }
+  AstEntry* ast = fx.kernel.segments().Find(
+      fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid);
+  ASSERT_NE(ast, nullptr);
+  PageFrameManager& pfm = fx.kernel.page_frames();
+  for (uint32_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(pfm.EvictPage(&ast->page_table, p, ast->pack, ast->vtoc, ast->quota_cell,
+                              ast->page_ec)
+                    .ok());
+  }
+
+  // Two sequential demand faults: the second posts readahead for the pages
+  // after it, which the I/O daemon's dispatch round completes.
+  for (uint32_t p = 0; p < 2; ++p) {
+    auto value = SettledRead(fx.kernel, *fx.ctx, segno, p * kPageWords);
+    ASSERT_TRUE(value.ok()) << p;
+    EXPECT_EQ(*value, p + 1);
+  }
+  RunPostedIo(fx.kernel);
+  Metrics& m = fx.kernel.metrics();
+  ASSERT_GT(m.Get("pfm.prefetch_issued"), 0u);
+  PrimaryMemory& memory = fx.kernel.ctx().memory;
+  std::vector<FrameIndex> prefetched;
+  for (uint32_t p = 2; p < kPages; ++p) {
+    const Ptw& ptw = ast->page_table.ptws[p];
+    if (ptw.in_core) {
+      EXPECT_TRUE(memory.IsPending(FrameIndex(ptw.frame))) << p;
+      prefetched.push_back(FrameIndex(ptw.frame));
+    }
+  }
+  ASSERT_EQ(prefetched.size(), m.Get("pfm.prefetch_issued"));
+
+  // Evicted untouched: clean, so no write-back scan reads the frame either.
+  for (uint32_t p = 2; p < kPages; ++p) {
+    ASSERT_TRUE(pfm.EvictPage(&ast->page_table, p, ast->pack, ast->vtoc, ast->quota_cell,
+                              ast->page_ec)
+                    .ok());
+  }
+  for (FrameIndex frame : prefetched) {
+    EXPECT_TRUE(memory.IsPending(frame)) << frame.value;
+  }
+  EXPECT_EQ(m.Get("pfm.prefetch_waste"), prefetched.size());
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+TEST(AsyncCompletion, DirtyEvictRefaultCyclesReturnTheLastWrite) {
+  KernelFixture fx{AsyncPipelineConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const Segno segno = fx.MustCreate(">lazy>cycle");
+  // More pages than the machine has frames: every round evicts dirty pages
+  // and faults them back through asynchronous completions.
+  const uint32_t pages = fx.kernel.ctx().memory.frame_count() + 16;
+  std::vector<Word> last(pages, 0);
+  for (uint32_t round = 0; round < 3; ++round) {
+    for (uint32_t p = 0; p < pages; ++p) {
+      const uint32_t page = (p * 7 + round) % pages;  // scattered and sequential runs
+      const Word value = 1000 * (round + 1) + page;
+      ASSERT_TRUE(SettledWrite(fx.kernel, *fx.ctx, segno, page * kPageWords + round, value).ok())
+          << round << "/" << page;
+      last[page] = value;
+    }
+    for (uint32_t page = 0; page < pages; ++page) {
+      auto value = SettledRead(fx.kernel, *fx.ctx, segno, page * kPageWords + round);
+      ASSERT_TRUE(value.ok()) << round << "/" << page << ": " << value.status();
+      EXPECT_EQ(*value, last[page]) << round << "/" << page;
+    }
+  }
+  Metrics& m = fx.kernel.metrics();
+  EXPECT_GT(m.Get("pfm.io_completions"), 0u);
+  EXPECT_GT(m.Get("pfm.writebacks"), 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// The defensive half of the install routine: a completion whose home was
+// freed while the read was in flight binds nothing and leaves the page out
+// of core, unlocked, with its waiters woken to re-fault.
+TEST(AsyncCompletion, ReadWhoseHomeWasFreedInstallsNothing) {
+  KernelFixture fx{AsyncPipelineConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const Segno segno = fx.MustCreate(">lazy>gone");
+  KernelGates& gates = fx.kernel.gates();
+  ASSERT_TRUE(gates.Write(*fx.ctx, segno, 5, 4242).ok());
+  AstEntry* ast = fx.kernel.segments().Find(
+      fx.kernel.known_segments().Lookup(fx.pid, segno)->home.uid);
+  ASSERT_NE(ast, nullptr);
+  PageFrameManager& pfm = fx.kernel.page_frames();
+  ASSERT_TRUE(pfm.EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                            ast->page_ec)
+                  .ok());
+  ASSERT_EQ(gates.Read(*fx.ctx, segno, 5).status().code(), Code::kBlocked);
+  const uint32_t free_before = pfm.free_frames();
+  const uint64_t ec_before = fx.kernel.ctx().eventcounts.Read(ast->page_ec);
+
+  fx.kernel.ctx().volumes.pack(ast->pack)->FreeVtoc(ast->vtoc);
+  RunPostedIo(fx.kernel);
+  const Ptw& ptw = ast->page_table.ptws[0];
+  EXPECT_FALSE(ptw.in_core);
+  EXPECT_FALSE(ptw.locked);
+  EXPECT_EQ(pfm.free_frames(), free_before + 1);
+  EXPECT_GT(fx.kernel.ctx().eventcounts.Read(ast->page_ec), ec_before);
+  EXPECT_EQ(pfm.pending_io(), 0u);
+}
+
 TEST(KnownSegment, InitiateAssignsDistinctSegnosPerProcess) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
