@@ -76,6 +76,32 @@ TEST(RunQueueEquivalence, ShardedComputesTheSameResultsAsTheGlobalList) {
   EXPECT_TRUE(sharded.audit.empty()) << sharded.audit.front();
 }
 
+TEST(RunQueueEquivalence, ProgramlessProcessesFinishUnderBothDispatchers) {
+  // A process created without a program (a session before its first
+  // command, the answering daemon) is ready with nothing to run.  Both
+  // dispatchers must run it to kDone next to a process that has work,
+  // instead of quiescing with it still pending.
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "global");
+    KernelFixture fx(RqConfig(4, sharded, sharded, 200));
+    ASSERT_TRUE(fx.boot_status.ok());
+    auto idle = fx.kernel.processes().CreateProcess(TestSubject("Idle"));
+    ASSERT_TRUE(idle.ok());
+    auto busy = fx.kernel.processes().CreateProcess(TestSubject("Busy"));
+    ASSERT_TRUE(busy.ok());
+    ASSERT_TRUE(fx.kernel.processes()
+                    .SetProgram(*busy, {UserOp::Compute(40), UserOp::Compute(40)})
+                    .ok());
+    const Status run = fx.kernel.processes().RunUntilQuiescent(1000);
+    EXPECT_TRUE(run.ok()) << run;
+    EXPECT_EQ(fx.kernel.processes().state(fx.pid), ProcState::kDone);
+    EXPECT_EQ(fx.kernel.processes().state(*idle), ProcState::kDone);
+    EXPECT_EQ(fx.kernel.processes().state(*busy), ProcState::kDone);
+    EXPECT_EQ(fx.kernel.processes().stats(*busy).ops_executed, 2u);
+    EXPECT_TRUE(fx.kernel.processes().AllDone());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RunQueueSet unit level: steal ordering and mask filtering.
 // ---------------------------------------------------------------------------
