@@ -106,12 +106,13 @@ LockResult MeasureStorm(LockPolicy policy, uint16_t cpus, uint32_t rounds) {
   return out;
 }
 
-// P13's mixed pinned workload on the kernel's legacy global ready list:
-// quantum 2 makes dispatch the bottleneck, and at connect cost 800 every
-// dispatch locks and bounces the one list line under the selected policy.
+// P13's mixed pinned workload on the kernel's global ready list (the
+// global-dispatch row of the comparator table): quantum 2 makes dispatch
+// the bottleneck, and at connect cost 800 every dispatch locks and bounces
+// the one list line under the selected policy.
 LockResult MeasureMixed(LockPolicy policy, uint16_t cpus, uint32_t ops) {
   LockResult out;
-  KernelConfig config;
+  KernelConfig config = comparator::kGlobalDispatch.Apply();
   config.memory_frames = 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;

@@ -6,21 +6,25 @@
 // churn (staggered logout/re-login), and measures what it takes to make
 // session establishment scale:
 //
+// Each mode is a pair of comparator-table rows (bench/workload.h).  The
+// first three run the service rows on the modelled kernel without slab
+// slots (kSlabOff); full is the modelled default of both.
+//
 //   seed    — the serial seed table (no lock).  Not concurrency-safe, so it
 //             runs at 1 CPU only: the per-session reference cost.
 //   coarse  — the seed path made safe the minimal way: ONE spin lock held
 //             across the whole login/logout transaction.  At 16 CPUs every
 //             session serializes behind it; this is the baseline the verdict
 //             measures against ("the seed path at scale").
-//   sharded — lock-per-shard session and accounting tables (PR 7 lock
-//             policies price the handoffs); locks held only for table ops.
-//   full    — sharded + per-project home-directory skeleton cache behind a
-//             read-mostly lock (PR 8 passive reader-writer) + slab-pooled
-//             process slots (KST and state segment reused across sessions) +
-//             passive reader-writer on the kernel naming surface.  Passive-rw
-//             beats epoch here: after warm-up the mix is read-mostly, and an
-//             epoch publish would bill every residual write a full-pool
-//             broadcast.
+//   sharded — lock-per-shard session and accounting tables (MCS locks price
+//             the handoffs); locks held only for table ops.
+//   full    — KernelConfig{} and AnsweringConfig{}: sharded + per-project
+//             home-directory skeleton cache behind a passive reader-writer
+//             lock + slab-pooled process slots (KST and state segment reused
+//             across sessions) + passive reader-writer on the kernel naming
+//             surface.  Passive-rw beats epoch here: after warm-up the mix
+//             is read-mostly, and an epoch publish would bill every residual
+//             write a full-pool broadcast.
 //
 // Following the P3 precedent, an unmeasured warm-up pass logs every user in
 // and out once before the barrier: home directories exist and (with the slab
@@ -118,7 +122,7 @@ struct StormResult {
 StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool profile = false,
                      const char* folded_path = nullptr) {
   StormResult out;
-  KernelConfig config;
+  KernelConfig config = mode == StormMode::kFull ? KernelConfig{} : comparator::kSlabOff.Apply();
   config.cpu_count = cpus;
   // Sized for thousands of live sessions: every session owns a state
   // segment's VTOC entry and every user a home directory.
@@ -127,20 +131,10 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
   config.pack_count = 4;
   config.vtoc_slots_per_pack = 4096;
   config.records_per_pack = 16384;
-  config.connect_cost = 400;  // prices lock handoffs and naming broadcasts
   // Tracing starts off and is enabled after the warm-up pass, so the
   // latency histograms hold exactly the measured storm's spans.
   config.profile.enabled = profile;
   config.profile.stall_rounds = kBenchStallRounds;
-  if (mode == StormMode::kFull) {
-    config.slab_processes = true;
-    // Passive reader-writer on the naming surface: the storm's directory
-    // walks and KST scans read for free, and the (wave-1-only) directory
-    // creations revoke just the tokens remote CPUs actually hold — the
-    // right PR 8 policy for a read-mostly-after-warmup mix, where epoch
-    // publishes would bill every write a full-pool broadcast.
-    config.read_policy = ReadPolicy::kPassiveRw;
-  }
   Kernel kernel{config};
   if (!kernel.Boot().ok()) {
     return out;
@@ -150,21 +144,16 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
   AnsweringConfig acfg;
   switch (mode) {
     case StormMode::kSeed:
-      break;  // the serial seed table
+      acfg = comparator::kSerialService;
+      break;
     case StormMode::kCoarse:
-      acfg.table_mode = SessionTableMode::kCoarse;
+      acfg = comparator::kCoarseService;
       break;
     case StormMode::kSharded:
-    case StormMode::kFull:
-      acfg.table_mode = SessionTableMode::kSharded;
-      acfg.table_lock_policy = LockPolicy::kMcs;
-      acfg.table_line_transfer_cost = config.connect_cost;
+      acfg = comparator::kShardedService;
       break;
-  }
-  if (mode == StormMode::kFull) {
-    acfg.skeleton_cache = true;
-    acfg.cache_lock =
-        SharedLockConfig{ReadPolicy::kPassiveRw, config.connect_cost, 0, cpus};
+    case StormMode::kFull:
+      break;
   }
   Authenticator auth(&kernel);
   if (!auth.Init().ok()) {

@@ -109,7 +109,8 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
   config.memory_frames = 256;
   config.records_per_pack = 8192;
   config.cpu_count = cpus;
-  config.connect_cost = 400;  // prices token revocation and the epoch publish
+  // The modelled kernel, whose connect_cost prices token revocation and the
+  // epoch publish, with the read policy swept.
   config.read_policy = policy;
   config.epoch_grace_cost = 600;
   config.profile.enabled = profile;

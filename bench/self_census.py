@@ -21,7 +21,6 @@ CONFIG_STRUCTS = (
     ("KernelConfig", "src/kernel/kernel.h"),
     ("BaselineConfig", "src/baseline/supervisor.h"),
     ("AnsweringConfig", "src/answering/service.h"),
-    ("DispatchConfig", "src/kernel/uproc.h"),
     ("PagingPipeline", "src/kernel/page_frame.h"),
 )
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/answering/service.h"
 #include "src/baseline/supervisor.h"
 #include "src/fs/path_walker.h"
 #include "src/kernel/kernel.h"
@@ -38,6 +39,80 @@ inline Acl WorldAcl() {
   acl.Add(AclEntry{"*", "*", AccessModes::RWE()});
   return acl;
 }
+
+// ---------------------------------------------------------------------------
+// The comparator table.  KernelConfig{} and AnsweringConfig{} are the
+// modelled machine and service the repository benchmark measures.  Every
+// experiment that measures against something else takes its configuration
+// from here, and each row names its whole knob set.  A bench that sweeps one
+// knob (P13 the connect cost, P15 the lock policy, P16 the read policy,
+// whose kExclusive is P16's comparator) applies its row, then sets that knob
+// and prints it.
+// ---------------------------------------------------------------------------
+namespace comparator {
+
+// The six kernel knobs that tell the modelled machine from its comparators.
+struct KernelRow {
+  bool sharded_runqueues;
+  bool steal;
+  Cycles connect_cost;
+  LockPolicy lock_policy;
+  ReadPolicy read_policy;
+  bool slab_processes;
+
+  // `config` with this row's knobs; every other field is left as it was.
+  KernelConfig Apply(KernelConfig config = KernelConfig{}) const {
+    config.sharded_runqueues = sharded_runqueues;
+    config.steal = steal;
+    config.connect_cost = connect_cost;
+    config.lock_policy = lock_policy;
+    config.read_policy = read_policy;
+    config.slab_processes = slab_processes;
+    return config;
+  }
+};
+
+// KernelConfig{} itself, spelled out once so tests can hold the defaults
+// to it.
+inline constexpr KernelRow kModelled{
+    true, true, Costs::kLineTransfer, LockPolicy::kMcs, ReadPolicy::kPassiveRw, true};
+// P13, P15: one global ready list behind one lock, the traffic controller.
+inline constexpr KernelRow kGlobalDispatch{
+    false, false, Costs::kLineTransfer, LockPolicy::kMcs, ReadPolicy::kPassiveRw, true};
+// P13: per-CPU run queues that never steal.
+inline constexpr KernelRow kStealOff{
+    true, false, Costs::kLineTransfer, LockPolicy::kMcs, ReadPolicy::kPassiveRw, true};
+// P18 (every mode but full), the process-teardown test: each destroyed
+// process is torn down instead of parked on the slab.
+inline constexpr KernelRow kSlabOff{
+    true, true, Costs::kLineTransfer, LockPolicy::kMcs, ReadPolicy::kPassiveRw, false};
+// P14, the vp-pool ablation, the invariant sweep and the knobs-off tests:
+// the 1977 machine — one ready list, a free interconnect, test-and-set,
+// reader-writer naming locks (passive-rw with free traffic), every process
+// torn down on destroy.
+inline constexpr KernelRow k1977{
+    false, false, 0, LockPolicy::kTestAndSet, ReadPolicy::kPassiveRw, false};
+
+// The answering-service rows; AnsweringConfig{} (kSharded MCS tables with
+// the skeleton cache) is the modelled service.
+//
+// P3, P14, P18: the seed service — one unlocked table, no skeleton cache.
+inline const AnsweringConfig kSerialService{.table_mode = SessionTableMode::kSerial,
+                                            .table_lock_policy = LockPolicy::kTestAndSet,
+                                            .table_line_transfer_cost = 0,
+                                            .skeleton_cache = false};
+// P18: one test-and-set lock held across the whole login transaction.
+inline const AnsweringConfig kCoarseService{.table_mode = SessionTableMode::kCoarse,
+                                            .table_lock_policy = LockPolicy::kTestAndSet,
+                                            .table_line_transfer_cost = 0,
+                                            .skeleton_cache = false};
+// P18: the sharded MCS tables without the skeleton cache.
+inline const AnsweringConfig kShardedService{.table_mode = SessionTableMode::kSharded,
+                                             .table_lock_policy = LockPolicy::kMcs,
+                                             .table_line_transfer_cost = Costs::kLineTransfer,
+                                             .skeleton_cache = false};
+
+}  // namespace comparator
 
 namespace workload {
 
@@ -239,9 +314,11 @@ inline Cycles AlignToClock(Kernel& kernel) {
   return smp.Makespan();
 }
 
-// One measured region: the pool aligned at its start, then every process
-// run to completion.  `total` is the serialized work (global-clock delta),
-// `makespan` the simulated-parallel completion time.
+// One measured region: the pool aligned to the global clock at its start
+// (AlignToClock, so lock release points recorded by setup never read as
+// contention), then every process run to completion.  `total` is the
+// serialized work (global-clock delta), `makespan` the simulated-parallel
+// completion time.
 struct Region {
   Cycles total = 0;
   Cycles makespan = 0;
@@ -251,8 +328,7 @@ struct Region {
 inline Region Measure(Kernel& kernel, uint64_t max_passes) {
   CpuInterleave& smp = kernel.ctx().smp;
   const Cycles before = kernel.clock().now();
-  smp.AlignAll();
-  const Cycles m0 = smp.Makespan();
+  const Cycles m0 = AlignToClock(kernel);
   const bool ok = kernel.processes().RunUntilQuiescent(max_passes).ok();
   return Region{kernel.clock().now() - before, smp.Makespan() - m0, ok};
 }

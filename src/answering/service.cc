@@ -38,7 +38,11 @@ AnsweringService::AnsweringService(Kernel* kernel, Authenticator* auth, ServiceD
   }
   skel_rmi_.Init(&kernel->ctx(), "answering.skel", ProfDomain::kSessionSetup,
                  ProfDomain::kSessionSetup);
-  skel_lock_.Configure(cfg_.cache_lock);
+  SharedLockConfig cache_lock = cfg_.cache_lock;
+  if (cache_lock.cpu_count == 0) {
+    cache_lock.cpu_count = cpus;
+  }
+  skel_lock_.Configure(cache_lock);
 }
 
 void AnsweringService::ChargeDialogStep(int gate_calls) const {

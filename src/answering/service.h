@@ -8,17 +8,17 @@
 // through kernel gates and structured code, which is where the measured
 // "about 3% slower" comes from.
 //
-// The login-storm refactor makes session establishment a parallel hot path.
-// Three independently-gated mechanisms, all default-off and byte-identical
-// to the serial service when off:
+// Session establishment is a parallel hot path.  AnsweringConfig{} is the
+// modelled service (sharded MCS tables and the skeleton cache); the serial
+// and coarse services remain as comparators (bench/workload.h):
 //
-//   * session-table modes — kSerial is the seed table (no lock, single
-//     logical thread of control); kCoarse is the minimal concurrency-safe
-//     form, ONE SimSpinLock held across the whole login/logout transaction
-//     (every session serializes behind it, the baseline every sharded
-//     design is measured against); kSharded hashes sessions and accounting
-//     totals across lock-per-shard tables, holding each lock only for the
-//     table operation itself.
+//   * session-table modes — kSharded (default) hashes sessions and
+//     accounting totals across lock-per-shard tables, holding each lock only
+//     for the table operation itself; kSerial is the seed table (no lock,
+//     single logical thread of control); kCoarse is the minimal
+//     concurrency-safe form, ONE SimSpinLock held across the whole
+//     login/logout transaction (every session serializes behind it, the
+//     baseline every sharded design is measured against).
 //   * skeleton cache — per-project home-directory skeletons (>udd>Project
 //     and >udd>Project>person) are remembered behind a read-mostly
 //     SimSharedLock, so repeat logins skip the directory-creation walk.
@@ -50,17 +50,17 @@ enum class SessionTableMode : uint8_t { kSerial, kCoarse, kSharded };
 
 struct AnsweringConfig {
   // kSharded keeps one table shard per CPU.
-  SessionTableMode table_mode = SessionTableMode::kSerial;
+  SessionTableMode table_mode = SessionTableMode::kSharded;
   // Handoff-traffic policy for the table locks, same pricing scheme as the
   // scheduler locks (contended handoffs in units of line transfers;
   // kAnderson gets one array slot per CPU).
-  LockPolicy table_lock_policy = LockPolicy::kTestAndSet;
-  Cycles table_line_transfer_cost = 0;
+  LockPolicy table_lock_policy = LockPolicy::kMcs;
+  Cycles table_line_transfer_cost = Costs::kLineTransfer;
   // Remember home-directory skeletons across logins.
-  bool skeleton_cache = false;
-  // Read-mostly policy for the skeleton cache's lock; the default
-  // (ReadPolicy::kOff) leaves its sections inert.
-  SharedLockConfig cache_lock;
+  bool skeleton_cache = true;
+  // Read-mostly policy for the skeleton cache's lock.  cpu_count 0 sizes
+  // the lock to the kernel's CPU pool.
+  SharedLockConfig cache_lock{ReadPolicy::kPassiveRw, Costs::kLineTransfer, 0, 0};
 };
 
 struct SessionBill {
@@ -129,7 +129,7 @@ class AnsweringService {
   Result<ProcessId> LoginInner(const Principal& who, const std::string& password, Label label);
   Status LogoutInner(ProcessId pid);
   // The modelled cost of one session-table operation (only charged in the
-  // concurrency-safe modes; kSerial stays byte-identical to the seed).
+  // concurrency-safe modes; kSerial folds it into the dialog work).
   void ChargeTableWork() const;
 
   // Charges the bookkeeping work of one dialog step in the configured domain.

@@ -72,8 +72,7 @@ struct EntryInfo {
 //            they mutate entries, ACLs, or the quota designation.
 //
 // Each public entry point runs inside a SharedSection over the hierarchy's
-// SimSharedLock; with ReadPolicy::kOff (the default) the sections are inert
-// and the manager is byte-identical to its pre-lock behaviour.
+// SimSharedLock, priced by KernelConfig::read_policy.
 class DirectoryManager {
  public:
   static constexpr int kEntriesPerPage = 16;

@@ -59,8 +59,7 @@ struct MoveSignal {
 //            HandleQuotaException: they mutate KST entries or the table set.
 //
 // Each public entry point runs inside a SharedSection over one SimSharedLock
-// shared by every KST; with ReadPolicy::kOff (the default) the sections are
-// inert and the manager is byte-identical to its pre-lock behaviour.
+// shared by every KST, priced by KernelConfig::read_policy.
 class KnownSegmentManager {
  public:
   KnownSegmentManager(KernelContext* ctx, SegmentManager* segs, AddressSpaceManager* spaces);

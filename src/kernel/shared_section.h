@@ -17,8 +17,6 @@
 //
 // Sections nest (DeleteEntry -> RemoveQuota, HandleQuotaException ->
 // RelocateUid): only the outermost section acquires; inner ones are inert.
-// With the lock un-modeled (ReadPolicy::kOff) the whole wrapper is inert —
-// no charge, no counter, no trace record — preserving byte-identity.
 #ifndef MKS_KERNEL_SHARED_SECTION_H_
 #define MKS_KERNEL_SHARED_SECTION_H_
 
@@ -84,11 +82,8 @@ class SharedSection {
   SharedSection(SimSharedLock* lock, KernelContext* ctx, Kind kind,
                 const ReadMostlyInstruments& ins)
       : ctx_(ctx), ins_(ins), kind_(kind),
-        scope_(&ctx->scopes, kind == Kind::kRead ? ins.read_domain : ins.write_domain) {
-    if (!lock->modeled()) {
-      return;
-    }
-    lock_ = lock;
+        scope_(&ctx->scopes, kind == Kind::kRead ? ins.read_domain : ins.write_domain),
+        lock_(lock) {
     if (lock->EnterSection() > 0) {
       nested_ = true;
       return;
@@ -132,9 +127,6 @@ class SharedSection {
   }
 
   ~SharedSection() {
-    if (lock_ == nullptr) {
-      return;
-    }
     lock_->ExitSection();
     if (nested_) {
       return;
@@ -162,7 +154,7 @@ class SharedSection {
   // Spans the whole section (acquire, body, release), so everything charged
   // inside lands in the manager's read/write cell.
   ManagerScope scope_;
-  SimSharedLock* lock_ = nullptr;  // null: un-modeled, fully inert
+  SimSharedLock* lock_;
   bool nested_ = false;
   uint16_t cpu_ = 0;
   Cycles lnow_ = 0;

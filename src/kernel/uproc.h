@@ -23,6 +23,8 @@
 
 namespace mks {
 
+struct KernelConfig;
+
 struct UserOp {
   enum class Kind : uint8_t { kRead, kWrite, kCompute, kAdvance, kAwait };
   Kind kind = Kind::kCompute;
@@ -60,28 +62,17 @@ struct ProcessStats {
   Status last_error;
 };
 
-// Dispatch-path configuration (mirrors the KernelConfig knobs; all defaults
-// reproduce the legacy single-ready-list scheduler byte-for-byte).
-struct DispatchConfig {
-  bool sharded_runqueues = false;
-  bool steal = false;
-  Cycles connect_cost = 0;
-  // Handoff-traffic policy for every scheduler lock (the global ready-list
-  // lock and, in sharded mode, each run-queue shard's lock); contended
-  // handoffs are priced in units of connect_cost line transfers.
-  LockPolicy lock_policy = LockPolicy::kTestAndSet;
-};
-
 class UserProcessManager {
  public:
   UserProcessManager(KernelContext* ctx, CoreSegmentManager* core_segs,
                      VirtualProcessorManager* vpm, PageFrameManager* pfm, SegmentManager* segs,
                      KnownSegmentManager* ksm, KernelGates* gates);
 
-  // Latches the dispatch knobs; with sharded_runqueues set, builds the
-  // per-CPU run queues.  Called once at kernel construction, before any
-  // process exists.
-  void ConfigureDispatch(const DispatchConfig& config);
+  // Latches the kernel's dispatch knobs (sharded_runqueues, steal,
+  // connect_cost, lock_policy) and slab_processes; with sharded_runqueues
+  // set, builds the per-CPU run queues.  Called once at kernel
+  // construction, before any process exists.
+  void Configure(const KernelConfig& config);
 
   // Builds the real-memory message queue in a core segment and hands it to
   // the page frame manager's level-1 side.
@@ -90,12 +81,11 @@ class UserProcessManager {
   Result<ProcessId> CreateProcess(const Subject& subject);
   Status DestroyProcess(ProcessId pid);
 
-  // Slab pooling of process slots (the login-storm fast path).  With the
-  // knob on, DestroyProcess parks the slot — pid, KST allocation, and state
-  // segment — on a free list instead of tearing it down, and CreateProcess
-  // pops a parked slot instead of rebuilding from scratch.  Off (default)
-  // is byte-identical to the build/tear-down-every-time path.
-  void set_slab_processes(bool on) { slab_ = on; }
+  // Slab pooling of process slots (KernelConfig::slab_processes, the
+  // login-storm fast path): DestroyProcess parks the slot — pid, KST
+  // allocation, and state segment — on a free list instead of tearing it
+  // down, and CreateProcess pops a parked slot instead of rebuilding from
+  // scratch.
   size_t slab_free() const { return free_slots_.size(); }
   // Full teardown of every parked slot (KST, state segment, VTOC entry);
   // called at kernel shutdown so the on-disk image leaks nothing.
@@ -114,8 +104,8 @@ class UserProcessManager {
   // Ops each dispatched process may run before being preempted.
   void set_quantum(uint32_t quantum) { quantum_ = quantum; }
 
-  // The modelled global ready-list lock (contended only in legacy dispatch
-  // mode with interconnect costs on), for lock-policy sweeps.
+  // The global ready-list lock (contended only under global dispatch with
+  // interconnect costs on), for lock-policy sweeps.
   const SimSpinLock& list_lock() const { return ready_list_.lock; }
 
   // Runs the two-level scheduler until every process is done/aborted or
@@ -155,16 +145,16 @@ class UserProcessManager {
 
   // One scheduler pass: kernel tasks, message drain, dispatch, execution.
   bool SchedulerPass();
-  // The two dispatch bodies SchedulerPass selects between: the legacy scan
-  // of the global ready list, and the sharded per-CPU queues.
+  // The two dispatch bodies SchedulerPass selects between: the scan of the
+  // global ready list, and the sharded per-CPU queues.
   bool DispatchGlobal();
   bool DispatchSharded();
   // One quantum in `window`: vp acquisition (CPU-affine when `affine_vp`),
   // process switch, state swap-in, the op loop, and the quantum's accrual.
   // kNoVp = vp pool exhausted, nothing charged or accrued yet.
   DispatchOutcome RunQuantumOn(Process& proc, CpuWindow& window, bool affine_vp);
-  // Readies `proc` for dispatch: sharded mode enqueues it; legacy mode with
-  // interconnect costs on touches the (modelled) global ready-list line.
+  // Readies `proc` for dispatch: sharded mode enqueues it; global dispatch
+  // with interconnect costs on touches the global ready-list line.
   void EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow);
   // The global ready list as a shared cache line: lock it from `cpu`,
   // paying spin and a transfer when another CPU touched it last.
@@ -174,7 +164,7 @@ class UserProcessManager {
   // Cross-CPU scheduling charges only exist with a configured connect cost
   // and more than one CPU to cross between.
   bool sched_costs_on() const {
-    return dcfg_.connect_cost > 0 && ctx_->smp.count() > 1;
+    return connect_cost_ > 0 && ctx_->smp.count() > 1;
   }
   // The stall watchdog's flight-recorder dump: profiler domain trees, tracer
   // ring tails, scheduler-lock owners, run-queue depths, and process states,
@@ -216,7 +206,7 @@ class UserProcessManager {
   HistId hist_quantum_;
   std::unique_ptr<RealMemoryQueue> queue_;
   std::unordered_map<ProcessId, Process> procs_;
-  DispatchConfig dcfg_;
+  Cycles connect_cost_ = 0;
   std::unique_ptr<RunQueueSet> rq_;
   LockedLine ready_list_;  // the modelled global ready-list lock and line
   bool slab_ = false;

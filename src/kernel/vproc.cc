@@ -86,8 +86,8 @@ Result<VpId> VirtualProcessorManager::TakeUserVp(uint16_t i) {
   const ManagerScope sw(&ctx_->scopes, ProfDomain::kDispatch);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kVpSwitch);
   // Loading a state record last resident in another CPU's cache pays one
-  // interconnect transfer.  Free at connect cost 0 (the legacy model) and
-  // structurally free with one CPU (last_cpu can never differ).
+  // interconnect transfer.  Free at connect cost 0 and structurally free
+  // with one CPU (last_cpu can never differ).
   if (connect_cost_ > 0 && v.last_cpu != ctx_->current_cpu) {
     ctx_->cost.Charge(CodeStyle::kOptimized, connect_cost_);
     ctx_->metrics.Inc(id_vp_migrations_);

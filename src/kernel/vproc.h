@@ -62,9 +62,9 @@ class VirtualProcessorManager {
   Result<VpId> AcquireIdleUserVp(uint16_t prefer_cpu);
   void ReleaseUserVp(VpId vp);
 
-  // Virtual cycles to migrate a vp state record between CPUs (0 = free, the
-  // legacy model).  Wired from KernelConfig::connect_cost at construction of
-  // the kernel; charges only materialize with a multi-CPU pool.
+  // Virtual cycles to migrate a vp state record between CPUs (0 = free).
+  // Wired from KernelConfig::connect_cost at construction of the kernel;
+  // charges only materialize with a multi-CPU pool.
   void set_connect_cost(Cycles cost) { connect_cost_ = cost; }
 
   // Eventcount interface.  Await returns true when the target is already

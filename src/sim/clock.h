@@ -80,6 +80,9 @@ struct Costs {
   static constexpr Cycles kProcedureCall = 5;
   static constexpr Cycles kProcessSwitch = 150;      // user process dispatch
   static constexpr Cycles kVpSwitch = 60;            // virtual processor dispatch
+  // One cache line moved between CPUs over the interconnect: the default
+  // price of every cross-CPU touch the kernel and the answering service model.
+  static constexpr Cycles kLineTransfer = 400;
   static constexpr Cycles kDiskReadLatency = 30000;  // one record transfer
   static constexpr Cycles kDiskWriteLatency = 30000;
   // Batched I/O (the anticipatory paging pipeline): a dispatch round sorts

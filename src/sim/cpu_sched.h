@@ -406,7 +406,7 @@ class RunQueueSet {
 
   // Returns an item to the front of `cpu`'s own queue (dispatch could not
   // complete — vp pool exhausted).  Pure bookkeeping: the undo path charges
-  // nothing, mirroring how the legacy scheduler's exhaustion break is free.
+  // nothing, mirroring how global dispatch's exhaustion break is free.
   void PushFront(uint32_t id, uint32_t mask, uint16_t cpu) {
     shards_[cpu].items.push_front(Item{id, mask});
   }

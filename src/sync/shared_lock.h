@@ -10,15 +10,12 @@
 //
 // ReadPolicy selects the read-side protocol:
 //
-//   kOff — the lock is un-modeled: every Acquire returns 0 and no counter
-//     moves.  Default; byte-identical to the pre-lock naming paths, the same
-//     default-off discipline every knob in this repo follows.
 //   kExclusive — one lock word, readers and writers alike: an acquirer whose
 //     local clock trails the last release point burns the gap, exactly
 //     SimSpinLock's waiting-time arithmetic (kTestAndSet: gap only, no
 //     handoff traffic).  This is the "every lookup serializes like a write"
 //     baseline the read-mostly policies are measured against.
-//   kPassiveRw — a passive reader-writer lock in the prwlock style
+//   kPassiveRw (default) — a passive reader-writer lock in the prwlock style
 //     [Liu et al., USENIX ATC 2014]: each CPU holds a private read token, so
 //     a contended read acquisition costs NO line transfers (it waits only
 //     for an in-flight writer's critical section to end).  A writer must
@@ -53,12 +50,10 @@
 
 namespace mks {
 
-enum class ReadPolicy : uint8_t { kOff, kExclusive, kPassiveRw, kEpoch };
+enum class ReadPolicy : uint8_t { kExclusive, kPassiveRw, kEpoch };
 
 inline const char* ReadPolicyName(ReadPolicy policy) {
   switch (policy) {
-    case ReadPolicy::kOff:
-      return "off";
     case ReadPolicy::kExclusive:
       return "exclusive";
     case ReadPolicy::kPassiveRw:
@@ -70,7 +65,7 @@ inline const char* ReadPolicyName(ReadPolicy policy) {
 }
 
 struct SharedLockConfig {
-  ReadPolicy policy = ReadPolicy::kOff;
+  ReadPolicy policy = ReadPolicy::kPassiveRw;
   // Cycles for one cache-line transfer across the interconnect (the same
   // quantity KernelConfig::connect_cost prices elsewhere).  0 makes token
   // revocation and epoch publication free.
@@ -95,7 +90,7 @@ class SimSharedLock {
     Cycles grace_cycles = 0;    // kEpoch: drain + epoch_grace_cost
   };
 
-  // Call before first use.  kOff keeps the lock fully inert.
+  // Call before first use.
   void Configure(const SharedLockConfig& config) {
     policy_ = config.policy;
     line_transfer_cost_ = config.line_transfer_cost;
@@ -104,20 +99,14 @@ class SimSharedLock {
     read_until_.assign(cpu_count_, 0);
   }
 
-  bool modeled() const { return policy_ != ReadPolicy::kOff; }
   ReadPolicy policy() const { return policy_; }
 
   // Begins a read section at local virtual time `local_now` on `cpu`;
   // returns the spin cycles the reader burns before its section may start.
   Cycles AcquireRead(Cycles local_now, uint16_t cpu) {
-    if (policy_ == ReadPolicy::kOff) {
-      return 0;
-    }
     ++read_grants_;
     Cycles spin = 0;
     switch (policy_) {
-      case ReadPolicy::kOff:
-        break;
       case ReadPolicy::kExclusive:
         // One lock word for everyone: a read waits exactly like a write.
         if (excl_free_at_ > local_now) {
@@ -148,8 +137,6 @@ class SimSharedLock {
   // by the reader after all work done inside the section).
   void ReleaseRead(Cycles local_end, uint16_t cpu) {
     switch (policy_) {
-      case ReadPolicy::kOff:
-        return;
       case ReadPolicy::kExclusive:
         if (local_end > excl_free_at_) {
           excl_free_at_ = local_end;
@@ -168,14 +155,9 @@ class SimSharedLock {
   // Begins a write section at local virtual time `local_now` on `cpu`.
   WriteGrant AcquireWrite(Cycles local_now, uint16_t cpu) {
     WriteGrant grant;
-    if (policy_ == ReadPolicy::kOff) {
-      return grant;
-    }
     ++write_grants_;
     Cycles start = local_now;
     switch (policy_) {
-      case ReadPolicy::kOff:
-        break;
       case ReadPolicy::kExclusive:
         if (excl_free_at_ > start) {
           start = excl_free_at_;
@@ -243,8 +225,6 @@ class SimSharedLock {
   // writer after all work done inside the section).
   void ReleaseWrite(Cycles local_end) {
     switch (policy_) {
-      case ReadPolicy::kOff:
-        return;
       case ReadPolicy::kExclusive:
         if (local_end > excl_free_at_) {
           excl_free_at_ = local_end;
@@ -280,7 +260,7 @@ class SimSharedLock {
  private:
   static uint64_t Bit(uint16_t cpu) { return 1ull << (cpu & 63); }
 
-  ReadPolicy policy_ = ReadPolicy::kOff;
+  ReadPolicy policy_ = ReadPolicy::kPassiveRw;
   Cycles line_transfer_cost_ = 0;
   Cycles epoch_grace_cost_ = 0;
   uint16_t cpu_count_ = 1;

@@ -15,6 +15,25 @@ TEST(KernelBoot, BootSucceeds) {
   EXPECT_GT(kernel.page_frames().free_frames(), 0u);
 }
 
+// KernelConfig{} is the modelled machine: the comparator table's modelled
+// row names the same six knobs, and the answering service's default locks
+// are priced on the same interconnect.
+TEST(KernelBoot, DefaultConfigIsTheModelledRow) {
+  const KernelConfig defaults;
+  const comparator::KernelRow& row = comparator::kModelled;
+  EXPECT_EQ(defaults.sharded_runqueues, row.sharded_runqueues);
+  EXPECT_EQ(defaults.steal, row.steal);
+  EXPECT_EQ(defaults.connect_cost, row.connect_cost);
+  EXPECT_EQ(defaults.lock_policy, row.lock_policy);
+  EXPECT_EQ(defaults.read_policy, row.read_policy);
+  EXPECT_EQ(defaults.slab_processes, row.slab_processes);
+  const AnsweringConfig service;
+  EXPECT_EQ(service.table_lock_policy, defaults.lock_policy);
+  EXPECT_EQ(service.table_line_transfer_cost, defaults.connect_cost);
+  EXPECT_EQ(service.cache_lock.policy, defaults.read_policy);
+  EXPECT_EQ(service.cache_lock.line_transfer_cost, defaults.connect_cost);
+}
+
 // Affinity masks are 32 bits wide, so a pool past 32 CPUs cannot be
 // addressed by them: Boot refuses it instead of shifting past the mask.
 TEST(KernelBoot, CpuCountIsBoundedByTheAffinityMaskWidth) {

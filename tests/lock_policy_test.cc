@@ -186,8 +186,10 @@ PolicyRun RunPolicy(const KernelConfig& config) {
   return out;
 }
 
+// Global dispatch (comparator table): every quantum contends the one
+// ready-list lock the policies price.
 KernelConfig PolicyKernelConfig(uint16_t cpus, LockPolicy policy) {
-  KernelConfig config;
+  KernelConfig config = comparator::kGlobalDispatch.Apply();
   config.cpu_count = cpus;
   config.memory_frames = 48;
   config.vp_count = 6;

@@ -62,35 +62,26 @@ Cycles LockSiteCycles(const Metrics& metrics) {
 }
 
 // A miniature of bench_perf_login_storm: every session op runs in its own
-// anchored (and profiled) window on the furthest-behind CPU, all session
-// concurrency knobs on.  `config` carries any further kernel knobs.  With
+// anchored (and profiled) window on the furthest-behind CPU, on the
+// modelled kernel and service.  `config` carries any further kernel knobs.  With
 // `run_sessions`, every session gets a short program and the pool runs
 // them to completion after each wave of logins.
 StormTrace RunStorm(uint16_t cpus, int users, KernelConfig config = KernelConfig{},
                     bool run_sessions = false) {
   StormTrace out;
   config.cpu_count = cpus;
-  config.connect_cost = 400;
   config.trace.enabled = true;
-  config.slab_processes = true;
-  config.read_policy = ReadPolicy::kPassiveRw;
   Kernel kernel(config);
   if (!kernel.Boot().ok()) {
     return out;
   }
   KernelContext& kctx = kernel.ctx();
 
-  AnsweringConfig acfg;
-  acfg.table_mode = SessionTableMode::kSharded;
-  acfg.table_lock_policy = LockPolicy::kMcs;
-  acfg.table_line_transfer_cost = config.connect_cost;
-  acfg.skeleton_cache = true;
-  acfg.cache_lock = SharedLockConfig{ReadPolicy::kPassiveRw, config.connect_cost, 0, cpus};
   Authenticator auth(&kernel);
   if (!auth.Init().ok()) {
     return out;
   }
-  AnsweringService service(&kernel, &auth, ServiceDomain::kUserDomain, acfg);
+  AnsweringService service(&kernel, &auth);
   for (int u = 0; u < users; ++u) {
     if (!auth.Enroll(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(2, 0)).ok()) {
       return out;
@@ -200,9 +191,6 @@ TEST(LoginStorm, DoubleRunBitIdenticalAt16Cpus) {
 TEST(LoginStorm, LockAttributionEqualsTheLockSiteCounters) {
   KernelConfig config;
   config.profile.enabled = true;
-  config.sharded_runqueues = true;
-  config.steal = true;
-  config.lock_policy = LockPolicy::kMcs;
   const StormTrace t = RunStorm(4, 24, config, /*run_sessions=*/true);
   ASSERT_TRUE(t.ok);
   EXPECT_GT(t.spin, 0u);  // the session tables contended
@@ -215,16 +203,12 @@ TEST(LoginStorm, LockAttributionEqualsTheLockSiteCounters) {
 // ---------------------------------------------------------------------------
 
 struct SlabFixture {
-  SlabFixture() : kernel(SlabConfig()), auth(&kernel), service(&kernel, &auth) {
+  // The modelled kernel pools process slots.
+  SlabFixture() : kernel(KernelConfig{}), auth(&kernel), service(&kernel, &auth) {
     EXPECT_TRUE(kernel.Boot().ok());
     EXPECT_TRUE(auth.Init().ok());
     EXPECT_TRUE(auth.Enroll(Principal{"Alice", "Projx"}, "pw-a", Label(2, 0)).ok());
     EXPECT_TRUE(auth.Enroll(Principal{"Bob", "Projx"}, "pw-b", Label(2, 0)).ok());
-  }
-  static KernelConfig SlabConfig() {
-    KernelConfig config;
-    config.slab_processes = true;
-    return config;
   }
   Kernel kernel;
   Authenticator auth;
@@ -300,15 +284,16 @@ TEST(LoginStorm, AccountingSurvivesSlabReuse) {
 }
 
 // ---------------------------------------------------------------------------
-// Knobs off: the seed path, byte for byte.
+// Knobs off: the seed service on the 1977 machine (comparator table).
 // ---------------------------------------------------------------------------
 
 Cycles RunSerialSessions(uint64_t* spin, uint64_t* skel, uint64_t* slab) {
-  Kernel kernel{KernelConfig{}};
+  Kernel kernel{comparator::k1977.Apply()};
   EXPECT_TRUE(kernel.Boot().ok());
   Authenticator auth(&kernel);
   EXPECT_TRUE(auth.Init().ok());
-  AnsweringService service(&kernel, &auth);
+  AnsweringService service(&kernel, &auth, ServiceDomain::kUserDomain,
+                           comparator::kSerialService);
   for (int u = 0; u < 4; ++u) {
     EXPECT_TRUE(
         auth.Enroll(Principal{PersonOf(u), ProjectOf(u)}, PasswordOf(u), Label(2, 0)).ok());

@@ -1,8 +1,9 @@
-// Tests for the read-mostly synchronization layer (PR 8): the per-policy
-// spin/traffic arithmetic at the SimSharedLock unit level, knobs-off
-// inertness, nested-section reentrancy, the exclusive@1cpu == off clock
-// identity, and RelocateUid interleaved with concurrent lookups under each
-// ReadPolicy — bit-identical on double runs at 4 and 16 CPUs.
+// Tests for the read-mostly synchronization layer: the per-policy
+// spin/traffic arithmetic at the SimSharedLock unit level, the default
+// config's passive locks, nested-section reentrancy, the
+// exclusive@1cpu == passive_rw@1cpu clock identity, and RelocateUid
+// interleaved with concurrent lookups under each ReadPolicy — bit-identical
+// on double runs at 4 and 16 CPUs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,26 +27,10 @@ SharedLockConfig Config(ReadPolicy policy, uint16_t cpus = 4) {
   return SharedLockConfig{policy, kLine, kGrace, cpus};
 }
 
-TEST(SharedLockUnit, OffIsFullyInert) {
-  SimSharedLock lock;
-  lock.Configure(Config(ReadPolicy::kOff));
-  EXPECT_FALSE(lock.modeled());
-  EXPECT_EQ(lock.AcquireRead(0, 0), 0u);
-  lock.ReleaseRead(1000, 0);
-  const auto grant = lock.AcquireWrite(0, 1);
-  EXPECT_EQ(grant.total, 0u);
-  lock.ReleaseWrite(2000);
-  EXPECT_EQ(lock.AcquireRead(500, 2), 0u);  // no free point was ever recorded
-  EXPECT_EQ(lock.read_grants(), 0u);
-  EXPECT_EQ(lock.write_grants(), 0u);
-  EXPECT_EQ(lock.read_spin_cycles(), 0u);
-  EXPECT_EQ(lock.write_spin_cycles(), 0u);
-}
-
 TEST(SharedLockUnit, ExclusiveReadsWaitExactlyLikeWrites) {
   SimSharedLock lock;
   lock.Configure(Config(ReadPolicy::kExclusive));
-  EXPECT_TRUE(lock.modeled());
+  EXPECT_EQ(lock.policy(), ReadPolicy::kExclusive);
   EXPECT_EQ(lock.AcquireRead(0, 0), 0u);
   lock.ReleaseRead(1000, 0);
   // A reader behind another reader's section burns the whole gap: the one
@@ -146,10 +131,10 @@ TEST(SharedLockUnit, GrantOrderNeverDependsOnThePolicy) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel level: inertness, reentrancy, and the 1-CPU clock identity.
+// Kernel level: the default locks, reentrancy, and the 1-CPU clock identity.
 // ---------------------------------------------------------------------------
 
-TEST(ReadMostlyKernel, DefaultConfigKeepsTheLocksUnmodeled) {
+TEST(ReadMostlyKernel, DefaultConfigModelsTheNamingLocksPassively) {
   KernelFixture fx;
   ASSERT_TRUE(fx.boot_status.ok());
   fx.MustCreate(">a>b");
@@ -157,15 +142,21 @@ TEST(ReadMostlyKernel, DefaultConfigKeepsTheLocksUnmodeled) {
   EXPECT_TRUE(walker.Walk(*fx.ctx, ">a>b").ok());
   const SimSharedLock& dir_lock = fx.kernel.directories().naming_lock();
   const SimSharedLock& kst_lock = fx.kernel.known_segments().kst_lock();
-  EXPECT_FALSE(dir_lock.modeled());
-  EXPECT_FALSE(kst_lock.modeled());
-  // Not a single counter may move with the knob off.
-  EXPECT_EQ(dir_lock.read_grants(), 0u);
-  EXPECT_EQ(dir_lock.write_grants(), 0u);
-  EXPECT_EQ(kst_lock.read_grants(), 0u);
-  EXPECT_EQ(kst_lock.write_grants(), 0u);
-  EXPECT_EQ(fx.kernel.metrics().counters().at("dir.read_sections"), 0u);
-  EXPECT_EQ(fx.kernel.metrics().counters().at("ksm.write_sections"), 0u);
+  EXPECT_EQ(dir_lock.policy(), ReadPolicy::kPassiveRw);
+  EXPECT_EQ(kst_lock.policy(), ReadPolicy::kPassiveRw);
+  // Every naming operation takes a section, and the lock counters and the
+  // manager metrics agree on how many.
+  const auto& counters = fx.kernel.metrics().counters();
+  EXPECT_GT(dir_lock.read_grants(), 0u);
+  EXPECT_GT(dir_lock.write_grants(), 0u);
+  EXPECT_GT(kst_lock.write_grants(), 0u);
+  EXPECT_EQ(counters.at("dir.read_sections"), dir_lock.read_grants());
+  EXPECT_EQ(counters.at("dir.write_sections"), dir_lock.write_grants());
+  EXPECT_EQ(counters.at("ksm.write_sections"), kst_lock.write_grants());
+  // One CPU, driven directly: nothing ever waits and no token is remote.
+  EXPECT_EQ(dir_lock.read_spin_cycles() + dir_lock.write_spin_cycles(), 0u);
+  EXPECT_EQ(kst_lock.read_spin_cycles() + kst_lock.write_spin_cycles(), 0u);
+  EXPECT_EQ(dir_lock.revoked_cpus() + kst_lock.revoked_cpus(), 0u);
 }
 
 TEST(ReadMostlyKernel, NestedWriteSectionsAreInertNotDoubleCharged) {
@@ -313,8 +304,7 @@ constexpr uint32_t kStormOps = 512;  // 8 relocations inside the storm
 TEST(ReadMostlyRelocation, LookupsAlwaysSeeTheLatestHomeUnderEveryPolicy) {
   // 512 ops: the last relocation (op 447, i/64 == 6) moved the segment to
   // the alternate pack; every process's KST binding must say so.
-  for (ReadPolicy policy : {ReadPolicy::kOff, ReadPolicy::kExclusive, ReadPolicy::kPassiveRw,
-                            ReadPolicy::kEpoch}) {
+  for (ReadPolicy policy : {ReadPolicy::kExclusive, ReadPolicy::kPassiveRw, ReadPolicy::kEpoch}) {
     SCOPED_TRACE(ReadPolicyName(policy));
     const StormOut r = RunRelocationStorm(policy, 4, kStormOps);
     ASSERT_TRUE(r.ok);
@@ -329,21 +319,15 @@ TEST(ReadMostlyRelocation, PoliciesPriceTheScheduleWithoutChangingIt) {
   // Identical grant order across policies: what each process observes is
   // policy-independent; only the clock and the lock counters differ — and in
   // the direction each policy promises.
-  const StormOut off = RunRelocationStorm(ReadPolicy::kOff, 4, kStormOps);
   const StormOut excl = RunRelocationStorm(ReadPolicy::kExclusive, 4, kStormOps);
   const StormOut prw = RunRelocationStorm(ReadPolicy::kPassiveRw, 4, kStormOps);
   const StormOut epoch = RunRelocationStorm(ReadPolicy::kEpoch, 4, kStormOps);
-  ASSERT_TRUE(off.ok);
   ASSERT_TRUE(excl.ok);
   ASSERT_TRUE(prw.ok);
   ASSERT_TRUE(epoch.ok);
-  EXPECT_EQ(off.observed_packs, excl.observed_packs);
-  EXPECT_EQ(off.observed_packs, prw.observed_packs);
-  EXPECT_EQ(off.observed_packs, epoch.observed_packs);
-  // Off records nothing at all.
-  EXPECT_EQ(off.read_grants, 0u);
-  EXPECT_EQ(off.write_grants, 0u);
-  // The modeled policies all saw the same sections.
+  EXPECT_EQ(excl.observed_packs, prw.observed_packs);
+  EXPECT_EQ(excl.observed_packs, epoch.observed_packs);
+  // Every policy saw the same sections.
   EXPECT_EQ(excl.read_grants, prw.read_grants);
   EXPECT_EQ(excl.read_grants, epoch.read_grants);
   EXPECT_EQ(excl.write_grants, prw.write_grants);
@@ -360,18 +344,21 @@ TEST(ReadMostlyRelocation, PoliciesPriceTheScheduleWithoutChangingIt) {
   EXPECT_GT(epoch.grace_waits, 0u);
 }
 
-TEST(ReadMostlyRelocation, ExclusiveAtOneCpuIsClockIdenticalToOff) {
-  // At 1 CPU the anchored windows make spin structurally zero and exclusive
-  // charges nothing: the virtual clock (and what the process observed) must
-  // match the un-modeled run exactly.
-  const StormOut off = RunRelocationStorm(ReadPolicy::kOff, 1, kStormOps);
+TEST(ReadMostlyRelocation, ExclusiveAtOneCpuIsClockIdenticalToPassiveRw) {
+  // At 1 CPU the anchored windows make spin structurally zero and neither
+  // policy has a remote reader to revoke: both charge nothing, so the
+  // virtual clock (and what the process observed) must match exactly.
+  const StormOut prw = RunRelocationStorm(ReadPolicy::kPassiveRw, 1, kStormOps);
   const StormOut excl = RunRelocationStorm(ReadPolicy::kExclusive, 1, kStormOps);
-  ASSERT_TRUE(off.ok);
+  ASSERT_TRUE(prw.ok);
   ASSERT_TRUE(excl.ok);
-  EXPECT_EQ(off.clock, excl.clock);
-  EXPECT_EQ(off.observed_packs, excl.observed_packs);
+  EXPECT_EQ(prw.clock, excl.clock);
+  EXPECT_EQ(prw.observed_packs, excl.observed_packs);
   EXPECT_EQ(excl.read_spin_cycles, 0u);
   EXPECT_EQ(excl.write_spin_cycles, 0u);
+  EXPECT_EQ(prw.read_spin_cycles, 0u);
+  EXPECT_EQ(prw.write_spin_cycles, 0u);
+  EXPECT_EQ(prw.revocation_cycles, 0u);
 }
 
 TEST(ReadMostlyRelocation, DoubleRunsAreBitIdenticalAtFourAndSixteenCpus) {

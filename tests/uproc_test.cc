@@ -142,7 +142,8 @@ TEST(Uproc, AbortedProcessReportsItsError) {
 }
 
 TEST(Uproc, DestroyProcessReleasesResources) {
-  KernelFixture fx;
+  // The teardown path: without slab slots a destroyed process is freed.
+  KernelFixture fx(comparator::kSlabOff.Apply());
   ASSERT_TRUE(fx.boot_status.ok());
   auto pid = fx.kernel.processes().CreateProcess(TestSubject("Gone"));
   ASSERT_TRUE(pid.ok());
