@@ -1,8 +1,8 @@
 // P14 — simulator-core host throughput.  Unlike every other bench, the
 // number here is about the *simulator*, not the simulated designs: how many
 // simulated cycles the core executes per host second.  The figure is tracked
-// in BENCH_pr6.json like any result so regressions of the hot path (dispatch
-// tournament tree, pooled event queue, lazy page fill) show up in review.
+// in BENCH_pr6.json like any result so regressions of the hot path (CPU
+// selection, the posted-read FIFO, lazy page fill) show up in review.
 //
 // Three workloads:
 //   fault_storm       — the P11 kernel fault storm at 4 CPUs, scaled up by

@@ -90,7 +90,6 @@ class AnsweringService {
   // Instrument readback for benches and tests.
   size_t shard_count() const { return shards_.size(); }
   const SimSpinLock& shard_lock(size_t i) const { return shards_[i]->lock; }
-  const SimSharedLock& skeleton_lock() const { return skel_lock_; }
 
  private:
   struct Session {

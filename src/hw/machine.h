@@ -248,7 +248,6 @@ class PrimaryMemory {
   PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics);
 
   uint32_t frame_count() const { return frame_count_; }
-  uint64_t size_words() const { return words_.size(); }
 
   Word ReadWord(uint64_t abs_addr) {
     assert(abs_addr < words_.size());

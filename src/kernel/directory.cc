@@ -229,7 +229,7 @@ Result<EntryId> DirectoryManager::CreateDirectoryEntry(const Subject& subject, E
 }
 
 Status DirectoryManager::DeleteEntry(const Subject& subject, EntryId dir_id,
-                                     std::string_view name) {
+                                     std::string_view name, WaitSpec* wait) {
   ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
@@ -242,6 +242,12 @@ Status DirectoryManager::DeleteEntry(const Subject& subject, EntryId dir_id,
     return Status(Code::kNoEntry, std::string(name));
   }
   DirEntryRec& entry = it->second;
+  // The segment is deactivated below, which must wait for a read in flight:
+  // decide that before anything changes.
+  const uint32_t busy_ast = segs_->FindIndex(entry.uid);
+  if (busy_ast != kNoAst && segs_->ReadInFlight(busy_ast, wait)) {
+    return Status(Code::kBlocked, "page read in flight on the deleted segment");
+  }
   if (entry.is_directory) {
     auto child_it = dirs_.find(entry.uid);
     if (child_it == dirs_.end()) {

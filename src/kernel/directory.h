@@ -99,7 +99,10 @@ class DirectoryManager {
                                      Acl acl, Label label);
   Result<EntryId> CreateDirectoryEntry(const Subject& subject, EntryId dir, std::string name,
                                        Acl acl, Label label);
-  Status DeleteEntry(const Subject& subject, EntryId dir, std::string_view name);
+  // kBlocked, with *wait filled and nothing changed, while a page read is in
+  // flight on the entry's segment; retry after its next page arrival.
+  Status DeleteEntry(const Subject& subject, EntryId dir, std::string_view name,
+                     WaitSpec* wait = nullptr);
   // Renames an entry within its directory (a modify of the directory only;
   // the object, its ACL, and its unique identifier are untouched).
   Status RenameEntry(const Subject& subject, EntryId dir, std::string_view old_name,

@@ -42,7 +42,7 @@ Result<EntryId> KernelGates::CreateDirectory(ProcContext& ctx, EntryId dir, std:
 
 Status KernelGates::Delete(ProcContext& ctx, EntryId dir, std::string_view name) {
   const GateEntry entry(this, ctx, GateOp::kDelete);
-  return dirs_->DeleteEntry(ctx.subject, dir, name);
+  return dirs_->DeleteEntry(ctx.subject, dir, name, &ctx.pending_wait);
 }
 
 Status KernelGates::Rename(ProcContext& ctx, EntryId dir, std::string_view old_name,

@@ -85,6 +85,8 @@ class KernelGates {
                                 Label label);
   Result<EntryId> CreateDirectory(ProcContext& ctx, EntryId dir, std::string name, Acl acl,
                                   Label label);
+  // kBlocked (with ctx.pending_wait filled) while a page read is in flight
+  // on the entry's segment.
   Status Delete(ProcContext& ctx, EntryId dir, std::string_view name);
   Status Rename(ProcContext& ctx, EntryId dir, std::string_view old_name, std::string new_name);
   Status SetAcl(ProcContext& ctx, EntryId dir, std::string_view name, Acl acl);

@@ -93,6 +93,19 @@ Status Kernel::Shutdown() {
   if (!booted_) {
     return Status(Code::kFailedPrecondition, "not booted");
   }
+  // Let every posted read land first, since deactivation waits for reads in
+  // flight: the machine idles to each due time and the daemon body
+  // completes what fell due and dispatches the pack queues.
+  if (pfm_->async()) {
+    do {
+      if (!ctx_->events.empty() && ctx_->events.next_due() > ctx_->clock.now()) {
+        const Cycles idle = ctx_->events.next_due() - ctx_->clock.now();
+        ctx_->clock.Advance(idle);
+        ctx_->smp.AdvanceAll(idle);
+      }
+      ctx_->events.RunDue(ctx_->clock.now());
+    } while (pfm_->PageIoDaemonStep() || !ctx_->events.empty());
+  }
   // Sever every user binding, then drain the active segment table.
   while (uproc_->process_count() > 0) {
     // Destroy in discovery order; DestroyProcess handles vp release and the
@@ -134,13 +147,6 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   spaces_->AuditIntegrity(&findings);
   dirs_->AuditQuotaIntegrity(&findings);
   return findings;
-}
-
-ProcContext Kernel::MakeContext(ProcessId pid, const Subject& subject) const {
-  ProcContext ctx;
-  ctx.pid = pid;
-  ctx.subject = subject;
-  return ctx;
 }
 
 DependencyGraph Kernel::DeclaredLattice() {

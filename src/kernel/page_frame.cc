@@ -256,11 +256,9 @@ Status PageFrameManager::ServiceMissingPage(PageTable* pt, uint32_t page, PackId
     fi.state = FrameState::kIoInProgress;
     fi.posted_at = scope.span_begin();
     ctx_->trace.Instant(ev_fault_posted_, initiator.value, page);
-    ++pending_reads_;
-    ctx_->events.Schedule(ctx_->clock.now() + Costs::kDiskReadLatency,
-                          [this, frame, initiator]() {
-                            completions_.push_back(Completion{frame, initiator});
-                          });
+    // The cookie names the frame (low word) and the process to wake.
+    ctx_->events.Post(ctx_->clock.now() + Costs::kDiskReadLatency,
+                      uint64_t{initiator.value} << 32 | frame.value);
     ctx_->metrics.Inc(id_async_reads_);
     if (pipeline_.readahead) {
       MaybeReadahead(pt, page, pack, vtoc, cell, seg_ec);
@@ -346,11 +344,10 @@ void PageFrameManager::MaybeReadahead(PageTable* pt, uint32_t page, PackId pack,
   if (posted > 0 && !async_) {
     // Synchronous mode has no daemon running between faults: the
     // anticipatory sweep completes before the fault returns, leaving no
-    // locked window behind.
+    // locked window behind.  Only this pack has queued work: synchronous
+    // mode leaves every queue empty between faults.
     const ManagerScope io(&ctx_->scopes, ProfDomain::kPagingIo);
-    while (dp->queued_io() > 0) {
-      DispatchPackQueue(pack);
-    }
+    DrainPackQueues();
   }
 }
 
@@ -362,6 +359,14 @@ size_t PageFrameManager::DispatchPackQueue(PackId pack) {
     CompletePostedRead(FrameIndex(static_cast<uint32_t>(cookie)));
   }
   return dispatched;
+}
+
+void PageFrameManager::DrainPackQueues() {
+  for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
+    while (ctx_->volumes.pack(PackId(p))->queued_io() > 0) {
+      DispatchPackQueue(PackId(p));
+    }
+  }
 }
 
 void PageFrameManager::InstallCompletedRead(FrameIndex frame) {
@@ -399,29 +404,27 @@ void PageFrameManager::CompletePostedRead(FrameIndex frame) {
 bool PageFrameManager::PageIoDaemonStep() {
   ManagerScope scope(&ctx_->scopes, self_, ProfDomain::kPagingIo);
   bool did_work = false;
-  while (!completions_.empty()) {
-    const Completion completion = completions_.front();
-    completions_.pop_front();
-    --pending_reads_;
-    const FrameInfo done = info(completion.frame);
-    if (done.state != FrameState::kIoInProgress || done.pt == nullptr) {
-      continue;  // the segment was deactivated while the read was in flight
-    }
+  uint64_t cookie = 0;
+  while (ctx_->events.TakeReleased(&cookie)) {
+    const FrameIndex frame(static_cast<uint32_t>(cookie));
+    const ProcessId initiator(static_cast<uint32_t>(cookie >> 32));
+    const FrameInfo done = info(frame);
+    // Deactivation waits for reads in flight, so the frame still awaits this one.
+    assert(done.state == FrameState::kIoInProgress && done.pt != nullptr);
     // The transfer latency already elapsed in simulated time.
-    InstallCompletedRead(completion.frame);
+    InstallCompletedRead(frame);
     ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall);
     // Notify every waiter: level-1 vps via the eventcount, the parked user
     // process via the real-memory queue.
     vpm_->Advance(done.seg_ec);
-    if (upward_queue_ != nullptr && completion.initiator.value != 0) {
-      (void)upward_queue_->Push(
-          UpwardMessage{completion.initiator, /*code=*/1, /*payload=*/done.page});
+    if (upward_queue_ != nullptr && initiator.value != 0) {
+      (void)upward_queue_->Push(UpwardMessage{initiator, /*code=*/1, /*payload=*/done.page});
     }
     ctx_->metrics.Inc(id_io_completions_);
     // Close the fault.page_service span opened when the read was posted: the
     // histogram gets the full fault -> park -> I/O -> wakeup latency.
-    ctx_->trace.CloseSpan(done.posted_at, ev_fault_service_, completion.initiator.value,
-                          done.page, hist_fault_service_);
+    ctx_->trace.CloseSpan(done.posted_at, ev_fault_service_, initiator.value, done.page,
+                          hist_fault_service_);
     did_work = true;
   }
   // Dispatch the per-pack request queues: prefetch reads and batched daemon
@@ -455,11 +458,7 @@ bool PageFrameManager::ReplenishFreePool() {
   if (pipeline_.batched_io && any) {
     // Flush the staged writebacks in record-sorted rounds — the amortization
     // inline eviction can never have.
-    for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      while (ctx_->volumes.pack(PackId(p))->queued_io() > 0) {
-        DispatchPackQueue(PackId(p));
-      }
-    }
+    DrainPackQueues();
   }
   return any;
 }
@@ -622,11 +621,7 @@ bool PageFrameManager::PageWriterStep(size_t max_writes) {
     ++written;
   }
   if (queued) {
-    for (uint16_t p = 0; p < ctx_->volumes.pack_count(); ++p) {
-      while (ctx_->volumes.pack(PackId(p))->queued_io() > 0) {
-        DispatchPackQueue(PackId(p));
-      }
-    }
+    DrainPackQueues();
   }
   return replenished || written > 0;
 }

@@ -24,7 +24,6 @@
 #ifndef MKS_KERNEL_PAGE_FRAME_H_
 #define MKS_KERNEL_PAGE_FRAME_H_
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,7 +139,8 @@ class PageFrameManager {
 
   uint32_t free_frames() const { return static_cast<uint32_t>(free_list_.size()); }
   uint32_t total_frames() const { return frame_limit_ - first_frame_; }
-  uint64_t pending_io() const { return pending_reads_; }
+  // Demand reads posted and not yet completed by the page-I/O daemon.
+  uint64_t pending_io() const { return ctx_->events.size(); }
 
  private:
   enum class FrameState : uint8_t { kFree, kInUse, kIoInProgress };
@@ -164,11 +164,6 @@ class PageFrameManager {
     Cycles posted_at = 0;
   };
 
-  struct Completion {
-    FrameIndex frame{};
-    ProcessId initiator{};
-  };
-
   // Obtains a frame, evicting via the clock algorithm if necessary.
   Result<FrameIndex> AcquireFrame();
   // One full second-chance pass: returns the victim slot, or UINT32_MAX when
@@ -187,6 +182,8 @@ class PageFrameManager {
   // Dispatches one round of `pack`'s request queue and completes any posted
   // reads; returns the number of requests dispatched.
   size_t DispatchPackQueue(PackId pack);
+  // Dispatches every pack's request queue until it is empty, in pack order.
+  void DrainPackQueues();
   void CompletePostedRead(FrameIndex frame);
   // Installs the frame of a completed read, demand or prefetch: binds it to
   // fill from the page's record on first touch, points the PTW at it and
@@ -237,8 +234,6 @@ class PageFrameManager {
   bool async_ = false;
   bool retain_zero_records_ = false;
   PagingPipeline pipeline_;
-  uint64_t pending_reads_ = 0;
-  std::deque<Completion> completions_;
 };
 
 }  // namespace mks

@@ -39,8 +39,9 @@ Status SegmentManager::Init(uint32_t ast_slots) {
 
 Result<uint32_t> SegmentManager::AllocateSlot() {
   // Prefer a free slot; otherwise deactivate the least recently used
-  // unconnected entry.  Deactivation is NOT constrained by the directory
-  // hierarchy: any unconnected segment, directory or not, is a candidate.
+  // unconnected entry with no read in flight.  Deactivation is NOT
+  // constrained by the directory hierarchy: any unconnected segment,
+  // directory or not, is a candidate.
   for (uint32_t i = 0; i < ast_.size(); ++i) {
     if (!ast_[i].in_use) {
       return i;
@@ -49,12 +50,13 @@ Result<uint32_t> SegmentManager::AllocateSlot() {
   uint32_t victim = kNoAst;
   for (uint32_t i = 0; i < ast_.size(); ++i) {
     if (ast_[i].connections == 0 &&
-        (victim == kNoAst || ast_[i].lru_stamp < ast_[victim].lru_stamp)) {
+        (victim == kNoAst || ast_[i].lru_stamp < ast_[victim].lru_stamp) && !ReadInFlight(i)) {
       victim = i;
     }
   }
   if (victim == kNoAst) {
-    return Status(Code::kResourceExhausted, "active segment table full of connected segments");
+    return Status(Code::kResourceExhausted,
+                  "active segment table full of connected segments or reads in flight");
   }
   ctx_->metrics.Inc(id_ast_replacements_);
   MKS_RETURN_IF_ERROR(Deactivate(victim));
@@ -114,7 +116,7 @@ Result<uint32_t> SegmentManager::EnsureActive(SegmentUid uid, PackId pack, VtocI
   return Activate(uid, pack, vtoc, cell);
 }
 
-Status SegmentManager::Deactivate(uint32_t slot) {
+Status SegmentManager::Deactivate(uint32_t slot, WaitSpec* wait) {
   ManagerScope scope(&ctx_->scopes, self_);
   if (slot >= ast_.size() || !ast_[slot].in_use) {
     return Status(Code::kInvalidArgument, "bad AST index");
@@ -122,6 +124,9 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   AstEntry& ast = ast_[slot];
   if (ast.connections != 0) {
     return Status(Code::kFailedPrecondition, "segment still connected to address spaces");
+  }
+  if (ReadInFlight(slot, wait)) {
+    return Status(Code::kBlocked, "page read in flight into the page table");
   }
   // The slot's page-table storage is about to describe a different segment;
   // no cached translation through it may survive.
@@ -140,6 +145,21 @@ Status SegmentManager::Deactivate(uint32_t slot) {
   ctx_->metrics.Inc(id_deactivations_);
   ctx_->trace.Instant(ev_deactivate_, slot, 0);
   return Status::Ok();
+}
+
+bool SegmentManager::ReadInFlight(uint32_t slot, WaitSpec* wait) const {
+  const AstEntry& ast = ast_[slot];
+  for (const Ptw& ptw : ast.page_table.ptws) {
+    if (ptw.locked) {
+      if (wait != nullptr) {
+        wait->valid = true;
+        wait->ec = ast.page_ec;
+        wait->target = ctx_->eventcounts.Read(ast.page_ec) + 1;
+      }
+      return true;
+    }
+  }
+  return false;
 }
 
 AstEntry* SegmentManager::Find(SegmentUid uid) {
@@ -206,15 +226,8 @@ Result<SegmentManager::NewHome> SegmentManager::Relocate(uint32_t slot, WaitSpec
   if (ast->connections != 0) {
     return Status(Code::kFailedPrecondition, "disconnect all address spaces before relocation");
   }
-  for (const Ptw& ptw : ast->page_table.ptws) {
-    if (ptw.locked) {
-      if (wait != nullptr) {
-        wait->valid = true;
-        wait->ec = ast->page_ec;
-        wait->target = ctx_->eventcounts.Read(ast->page_ec) + 1;
-      }
-      return Status(Code::kBlocked, "page read in flight on the old home");
-    }
+  if (ReadInFlight(slot, wait)) {
+    return Status(Code::kBlocked, "page read in flight on the old home");
   }
   // Flush every resident page home first so the records are authoritative.
   for (uint32_t p = 0; p < ast->max_pages; ++p) {

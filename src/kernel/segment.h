@@ -52,7 +52,7 @@ class SegmentManager {
   Status Init(uint32_t ast_slots);
 
   // Builds the page table from the on-pack file map.  kResourceExhausted when
-  // the AST is full of connected segments.
+  // every AST entry is connected or has a read in flight.
   Result<uint32_t> Activate(SegmentUid uid, PackId pack, VtocIndex vtoc, QuotaCellId cell);
 
   // Finds an existing activation or performs one (deactivating the
@@ -60,8 +60,15 @@ class SegmentManager {
   Result<uint32_t> EnsureActive(SegmentUid uid, PackId pack, VtocIndex vtoc, QuotaCellId cell);
 
   // Evicts all resident pages, writes the file map home, frees the slot.
-  // kFailedPrecondition while address spaces are still connected.
-  Status Deactivate(uint32_t ast);
+  // kFailedPrecondition while address spaces are still connected.  kBlocked,
+  // with *wait filled, while a page read is in flight: its completion still
+  // targets the slot's page table.  Retry after the segment's next page
+  // arrival.
+  Status Deactivate(uint32_t ast, WaitSpec* wait = nullptr);
+
+  // True while a page read is in flight on the segment (some PTW is
+  // locked); fills *wait, when given, with its next page arrival.
+  bool ReadInFlight(uint32_t ast, WaitSpec* wait = nullptr) const;
 
   AstEntry* Find(SegmentUid uid);
   AstEntry* Get(uint32_t ast);

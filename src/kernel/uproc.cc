@@ -1,6 +1,5 @@
 #include "src/kernel/uproc.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -76,6 +75,7 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
     proc.ctx.pid = slot.pid;
     proc.ctx.subject = subject;
     proc.state_segno = slot.state_segno;
+    proc.state_uid = slot.state_uid;
     procs_.emplace(slot.pid, std::move(proc));
     ctx_->metrics.Inc(id_processes_created_);
     ctx_->metrics.Inc(id_slab_reuses_);
@@ -102,17 +102,26 @@ Result<ProcessId> UserProcessManager::CreateProcess(const Subject& subject) {
   MKS_ASSIGN_OR_RETURN(Segno segno,
                        ksm_->Initiate(pid, home, AccessModes::RW(), /*ring_bracket=*/0));
   proc.state_segno = segno;
+  proc.state_uid = state_uid;
 
   procs_.emplace(pid, std::move(proc));
   ctx_->metrics.Inc(id_processes_created_);
   return pid;
 }
 
-Status UserProcessManager::DestroyProcess(ProcessId pid) {
+Status UserProcessManager::DestroyProcess(ProcessId pid, WaitSpec* wait) {
   ManagerScope scope(&ctx_->scopes, self_);
   auto it = procs_.find(pid);
   if (it == procs_.end()) {
     return Status(Code::kNotFound, "no such process");
+  }
+  if (!slab_) {
+    // Teardown deactivates the state segment, which waits for a read in
+    // flight: decide that before anything changes.
+    const uint32_t state_ast = segs_->FindIndex(it->second.state_uid);
+    if (state_ast != kNoAst && segs_->ReadInFlight(state_ast, wait)) {
+      return Status(Code::kBlocked, "page read in flight on the state segment");
+    }
   }
   if (it->second.bound) {
     vpm_->ReleaseUserVp(it->second.vp);
@@ -124,10 +133,10 @@ Status UserProcessManager::DestroyProcess(ProcessId pid) {
     // Slab park: clear every binding except the state segment's, keep the
     // KST allocation and the state segment's storage, and stash the slot
     // for the next CreateProcess.
-    const Segno state_segno = it->second.state_segno;
-    MKS_RETURN_IF_ERROR(ksm_->ResetKst(pid, state_segno));
+    const FreeSlot slot{pid, it->second.state_segno, it->second.state_uid};
+    MKS_RETURN_IF_ERROR(ksm_->ResetKst(pid, slot.state_segno));
     procs_.erase(it);
-    free_slots_.push_back(FreeSlot{pid, state_segno});
+    free_slots_.push_back(slot);
     ctx_->metrics.Inc(id_slab_parks_);
     return Status::Ok();
   }
@@ -444,21 +453,16 @@ bool UserProcessManager::DispatchSharded() {
   // quantum window, so lock spin, line transfers, and steals all accrue to
   // the dispatching CPU.
   bool did_work = false;
-  const uint16_t n = ctx_->smp.count();
   while (rq_->AnyQueued()) {
-    // CPUs in least-behind order (ties: lowest index), recomputed after
-    // every quantum so the interleave matches the global dispatch discipline.
-    std::vector<uint16_t> order(n);
-    for (uint16_t k = 0; k < n; ++k) {
-      order[k] = k;
-    }
-    std::sort(order.begin(), order.end(), [&](uint16_t a, uint16_t b) {
-      const Cycles la = ctx_->smp.local_now(a);
-      const Cycles lb = ctx_->smp.local_now(b);
-      return la != lb ? la < lb : a < b;
-    });
+    // Try CPUs in least-behind order (ties: lowest index), starting afresh
+    // after every quantum so the interleave matches the global dispatch
+    // discipline.  A fruitless try moves only the tried CPU's clock, and
+    // that CPU leaves `untried`, so the order of the rest stands.
+    uint32_t untried = ctx_->smp.PoolMask();
     bool ran = false;
-    for (uint16_t cpu : order) {
+    while (untried != 0) {
+      const uint16_t cpu = ctx_->smp.NextCpuIn(untried);
+      untried &= ~(1u << cpu);
       // Every exit from this window — a fruitless steal scan included —
       // accrues what it charged to `cpu`.
       CpuWindow window(ctx_, cpu, ProfDomain::kDispatch);
@@ -577,7 +581,7 @@ Status UserProcessManager::RunUntilQuiescent(uint64_t max_passes) {
           // The whole pool idles forward together waiting on the device.
           ctx_->smp.AdvanceAll(idle);
         }
-        // Completion handlers are level-1 work on the bootload CPU.
+        // Device completions are level-1 work on the bootload CPU.
         CpuWindow window(ctx_, 0, ProfDomain::kDispatch);
         sched_progress_ += ctx_->events.RunDue(ctx_->clock.now());
         continue;

@@ -79,7 +79,10 @@ class UserProcessManager {
   Status Init();
 
   Result<ProcessId> CreateProcess(const Subject& subject);
-  Status DestroyProcess(ProcessId pid);
+  // kBlocked, with *wait filled and the process kept, while a page read is
+  // in flight on its state segment; retry after the segment's next page
+  // arrival.
+  Status DestroyProcess(ProcessId pid, WaitSpec* wait = nullptr);
 
   // Slab pooling of process slots (KernelConfig::slab_processes, the
   // login-storm fast path): DestroyProcess parks the slot — pid, KST
@@ -128,6 +131,7 @@ class UserProcessManager {
     VpId vp{};
     bool bound = false;
     Segno state_segno{};
+    SegmentUid state_uid{};
     ProcessStats stats;
     uint32_t affinity = 0;      // allowed-CPU mask; 0 = any
     uint16_t last_cpu = kNoCpu; // CPU of the most recent dispatch
@@ -141,6 +145,7 @@ class UserProcessManager {
   struct FreeSlot {
     ProcessId pid{};
     Segno state_segno{};
+    SegmentUid state_uid{};
   };
 
   // One scheduler pass: kernel tasks, message drain, dispatch, execution.

@@ -16,17 +16,14 @@
 // Per-CPU counters are interned at construction (smp.cpuK.busy_cycles,
 // smp.cpuK.quanta); Accrue on the stepped path is handle-based only.
 //
-// Selection is O(1): a tournament (winner) tree over the local clocks keeps
-// the least-behind CPU at the root, repaired along one leaf-to-root path on
-// each Accrue.  The tree compares a left child before its right sibling, so
-// equal clocks resolve to the lowest index — exactly the tie-break of the
-// original linear scan.  AdvanceAll shifts a shared base offset instead of
-// every local clock (a uniform delta cannot reorder the pool), and Makespan
-// is a cached running maximum (local clocks never move backward).
+// Selection is one scan over the set bits of an affinity mask: a pool holds
+// at most 32 CPUs, so no index structure pays for its upkeep.  AdvanceAll
+// shifts a shared base offset instead of every local clock (a uniform delta
+// cannot reorder the pool), and Makespan is a cached running maximum (local
+// clocks never move backward).
 #ifndef MKS_SIM_CPU_SCHED_H_
 #define MKS_SIM_CPU_SCHED_H_
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -58,9 +55,6 @@ class CpuInterleave {
       cpus_.push_back(PerCpu{0, metrics->Intern(prefix + ".busy_cycles"),
                              metrics->Intern(prefix + ".quanta")});
     }
-    leaf_base_ = std::bit_ceil(static_cast<size_t>(cpu_count));
-    tree_.assign(2 * leaf_base_, kNoLeaf);
-    RebuildTree();
   }
 
   uint16_t count() const { return static_cast<uint16_t>(cpus_.size()); }
@@ -71,8 +65,8 @@ class CpuInterleave {
   void set_prof(Prof* prof) { prof_ = prof; }
 
   // The CPU whose local clock is furthest behind runs the next quantum
-  // (ties: lowest index).  O(1): the tournament root.
-  uint16_t NextCpu() const { return tree_[1]; }
+  // (ties: lowest index).
+  uint16_t NextCpu() const { return NextCpuIn(PoolMask()); }
 
   // Least-behind CPU among those whose bit is set in `mask` (affinity
   // dispatch).  The mask must intersect the pool; bit k = CPU k.  Iterates
@@ -87,13 +81,12 @@ class CpuInterleave {
       std::abort();
     }
     uint16_t best = static_cast<uint16_t>(std::countr_zero(candidates));
-    candidates &= candidates - 1;
-    while (candidates != 0) {
+    Cycles best_local = cpus_[best].local;
+    for (candidates &= candidates - 1; candidates != 0; candidates &= candidates - 1) {
       const uint16_t k = static_cast<uint16_t>(std::countr_zero(candidates));
-      candidates &= candidates - 1;
-      if (cpus_[k].local < cpus_[best].local) {
-        best = k;
-      }
+      const Cycles local = cpus_[k].local;
+      best = local < best_local ? k : best;
+      best_local = local < best_local ? local : best_local;
     }
     return best;
   }
@@ -105,7 +98,6 @@ class CpuInterleave {
     if (c.local > max_local_) {
       max_local_ = c.local;
     }
-    RepairFromLeaf(cpu);
     metrics_->Inc(c.id_busy_cycles, delta);
     metrics_->Inc(c.id_quanta);
     if (prof_ != nullptr) {
@@ -134,7 +126,6 @@ class CpuInterleave {
       }
       c.local = max_local_;
     }
-    RebuildTree();
   }
 
   Cycles local_now(uint16_t cpu) const { return cpus_[cpu].local + base_; }
@@ -148,48 +139,17 @@ class CpuInterleave {
   Cycles Makespan() const { return max_local_ + base_; }
 
  private:
-  static constexpr uint16_t kNoLeaf = UINT16_MAX;
-
   struct PerCpu {
     Cycles local = 0;  // excludes base_; comparisons never need the offset
     MetricId id_busy_cycles = 0;
     MetricId id_quanta = 0;
   };
 
-  // Winner of two leaves: the smaller local clock, the left (lower) index on
-  // ties.  `a` is always the left child, so `<=` encodes the tie-break.
-  uint16_t Winner(uint16_t a, uint16_t b) const {
-    if (b == kNoLeaf) {
-      return a;
-    }
-    if (a == kNoLeaf) {
-      return b;
-    }
-    return cpus_[a].local <= cpus_[b].local ? a : b;
-  }
-
-  void RepairFromLeaf(uint16_t cpu) {
-    for (size_t i = (leaf_base_ + cpu) >> 1; i >= 1; i >>= 1) {
-      tree_[i] = Winner(tree_[2 * i], tree_[2 * i + 1]);
-    }
-  }
-
-  void RebuildTree() {
-    for (size_t k = 0; k < leaf_base_; ++k) {
-      tree_[leaf_base_ + k] = k < cpus_.size() ? static_cast<uint16_t>(k) : kNoLeaf;
-    }
-    for (size_t i = leaf_base_ - 1; i >= 1; --i) {
-      tree_[i] = Winner(tree_[2 * i], tree_[2 * i + 1]);
-    }
-  }
-
   std::vector<PerCpu> cpus_;
   Metrics* metrics_;
   Prof* prof_ = nullptr;
   Cycles base_ = 0;       // shared idle offset added to every local clock
   Cycles max_local_ = 0;  // running maximum of the stored locals
-  size_t leaf_base_ = 1;  // leaves live at tree_[leaf_base_ + k]
-  std::vector<uint16_t> tree_;
 };
 
 // One shared cache line under one SimSpinLock: the global ready list, or a

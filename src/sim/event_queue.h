@@ -1,27 +1,22 @@
-// Deferred-completion event queue for the discrete simulation.
+// Posted device completions for the discrete simulation.
 //
-// Asynchronous device activity (disk transfers) is modelled by scheduling a
-// completion closure at a future simulated time.  The scheduler runs due
-// events as the clock advances, and can fast-forward the clock to the next
-// due time when every process is blocked (the machine would be idle).
+// Asynchronous device activity (a demand page read) is modelled by posting
+// an opaque cookie that falls due at a future simulated time.  The scheduler
+// releases what has fallen due as the clock advances, and can fast-forward
+// the clock to the next due time when every process is blocked (the machine
+// would be idle); the device's consumer then takes the released cookies.
 //
-// Scheduling is allocation-free in steady state: the heap is an explicit
-// 4-ary array of POD (due, seq, slot) entries, and closures live in pooled
-// slots with inline small-buffer storage (a disk-completion capture is a few
-// pointers; only an oversized closure falls back to the heap).  Slots are
-// kept in fixed-size slabs so their addresses are stable — a closure may
-// Schedule further events while it runs without invalidating itself.  Events
-// with equal due times run in Schedule order (the seq tie-break), identical
-// to the previous std::priority_queue implementation.
+// One FIFO suffices: the only producer posts at the global clock plus a
+// constant latency, and the clock never moves backward, so posting order is
+// due order (Post asserts it).  Entries due at the same cycle keep posting
+// order.
 #ifndef MKS_SIM_EVENT_QUEUE_H_
 #define MKS_SIM_EVENT_QUEUE_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <type_traits>
-#include <utility>
-#include <vector>
+#include <deque>
 
 #include "src/sim/clock.h"
 
@@ -29,163 +24,48 @@ namespace mks {
 
 class EventQueue {
  public:
-  EventQueue() = default;
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-  ~EventQueue() {
-    for (const Entry& e : heap_) {
-      Slot* s = SlotPtr(e.slot);
-      s->destroy(s);
-    }
+  void Post(Cycles due, uint64_t cookie) {
+    assert(entries_.empty() || entries_.back().due <= due);
+    entries_.push_back(Entry{due, cookie});
   }
 
-  template <typename F>
-  void Schedule(Cycles due, F&& fn) {
-    const uint32_t slot = AllocSlot();
-    Construct(SlotPtr(slot), std::forward<F>(fn));
-    HeapPush(Entry{due, next_seq_++, slot});
-  }
-
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-
-  // Earliest due time; only valid when not empty.
-  Cycles next_due() const { return heap_[0].due; }
-
-  // Runs every event due at or before `now`; returns the number run.
+  // Releases every entry due at or before `now`; returns the number released.
   size_t RunDue(Cycles now) {
-    size_t ran = 0;
-    while (!heap_.empty() && heap_[0].due <= now) {
-      // The closure may schedule further events, so pop first.  The slot is
-      // released only after the call returns: a re-entrant Schedule can never
-      // be handed the storage of the closure still running.
-      const uint32_t slot = heap_[0].slot;
-      HeapPop();
-      Slot* s = SlotPtr(slot);
-      s->run(s);
-      free_.push_back(slot);
-      ++ran;
+    const size_t before = released_;
+    while (released_ < entries_.size() && entries_[released_].due <= now) {
+      ++released_;
     }
-    return ran;
+    return released_ - before;
   }
+
+  // Hands the oldest released entry's cookie to the consumer; false when
+  // nothing released is left.
+  bool TakeReleased(uint64_t* cookie) {
+    if (released_ == 0) {
+      return false;
+    }
+    *cookie = entries_.front().cookie;
+    entries_.pop_front();
+    --released_;
+    return true;
+  }
+
+  // Nothing left to fall due (released entries may still await TakeReleased).
+  bool empty() const { return released_ == entries_.size(); }
+  // Every entry not yet taken, released or not.
+  size_t size() const { return entries_.size(); }
+
+  // Earliest due time not yet released; only valid when not empty.
+  Cycles next_due() const { return entries_[released_].due; }
 
  private:
-  // Inline closure storage: the hot site (a disk completion) captures a
-  // manager pointer plus two small ids; 48 bytes also fits a std::function
-  // handed in by tests.
-  static constexpr size_t kInlineBytes = 48;
-  static constexpr size_t kSlabSlots = 64;
-
-  struct Slot {
-    void (*run)(Slot*) = nullptr;      // invoke, then destroy the closure
-    void (*destroy)(Slot*) = nullptr;  // destroy without invoking (teardown)
-    void* heap_obj = nullptr;          // oversized-closure fallback
-    alignas(std::max_align_t) unsigned char buf[kInlineBytes];
-  };
-
   struct Entry {
     Cycles due;
-    uint64_t seq;  // FIFO tie-break for determinism
-    uint32_t slot;
-
-    bool Before(const Entry& o) const {
-      return due != o.due ? due < o.due : seq < o.seq;
-    }
+    uint64_t cookie;
   };
 
-  template <typename F>
-  static void Construct(Slot* s, F&& fn) {
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(s->buf)) Fn(std::forward<F>(fn));
-      s->run = [](Slot* slot) {
-        Fn* f = std::launder(reinterpret_cast<Fn*>(slot->buf));
-        (*f)();
-        f->~Fn();
-      };
-      s->destroy = [](Slot* slot) {
-        std::launder(reinterpret_cast<Fn*>(slot->buf))->~Fn();
-      };
-    } else {
-      s->heap_obj = new Fn(std::forward<F>(fn));
-      s->run = [](Slot* slot) {
-        Fn* f = static_cast<Fn*>(slot->heap_obj);
-        (*f)();
-        delete f;
-        slot->heap_obj = nullptr;
-      };
-      s->destroy = [](Slot* slot) {
-        delete static_cast<Fn*>(slot->heap_obj);
-        slot->heap_obj = nullptr;
-      };
-    }
-  }
-
-  Slot* SlotPtr(uint32_t id) { return &slabs_[id / kSlabSlots][id % kSlabSlots]; }
-
-  uint32_t AllocSlot() {
-    if (free_.empty()) {
-      const uint32_t base = static_cast<uint32_t>(slabs_.size() * kSlabSlots);
-      slabs_.push_back(std::make_unique<Slot[]>(kSlabSlots));
-      free_.reserve(free_.size() + kSlabSlots);
-      for (uint32_t i = 0; i < kSlabSlots; ++i) {
-        free_.push_back(base + i);
-      }
-    }
-    const uint32_t id = free_.back();
-    free_.pop_back();
-    return id;
-  }
-
-  // 4-ary min-heap on (due, seq): shallower than binary for the same size,
-  // and the POD entries move with plain stores.
-  void HeapPush(Entry e) {
-    size_t i = heap_.size();
-    heap_.push_back(e);
-    while (i > 0) {
-      const size_t parent = (i - 1) / 4;
-      if (!e.Before(heap_[parent])) {
-        break;
-      }
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  void HeapPop() {
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const size_t n = heap_.size();
-    if (n == 0) {
-      return;
-    }
-    size_t i = 0;
-    for (;;) {
-      const size_t first_child = 4 * i + 1;
-      if (first_child >= n) {
-        break;
-      }
-      size_t best = first_child;
-      const size_t end = first_child + 4 < n ? first_child + 4 : n;
-      for (size_t c = first_child + 1; c < end; ++c) {
-        if (heap_[c].Before(heap_[best])) {
-          best = c;
-        }
-      }
-      if (!heap_[best].Before(last)) {
-        break;
-      }
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-  }
-
-  std::vector<Entry> heap_;
-  std::vector<std::unique_ptr<Slot[]>> slabs_;
-  std::vector<uint32_t> free_;
-  uint64_t next_seq_ = 0;
+  std::deque<Entry> entries_;
+  size_t released_ = 0;  // entries_[0, released_) have fallen due
 };
 
 }  // namespace mks

@@ -37,8 +37,9 @@ inline Acl OwnerOnlyAcl(const std::string& person) {
   return acl;
 }
 
-// Lets posted page transfers land: idles the machine to its next event, runs
-// what fell due, then every kernel task (the page-I/O daemon among them).
+// Lets posted page transfers land: idles the machine to its next event,
+// releases what fell due, then runs every kernel task (the page-I/O daemon,
+// which completes the released reads, among them).
 inline void RunPostedIo(Kernel& kernel) {
   KernelContext& k = kernel.ctx();
   if (!k.events.empty() && k.events.next_due() > k.clock.now()) {

@@ -6,6 +6,9 @@
 // notifies everyone.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tests/kernel_fixture.h"
 
 namespace mks {
@@ -263,6 +266,171 @@ TEST(LockProtocol, FullPackMoveWaitsForAReadInFlight) {
   for (RecordIndex record : held) {
     full->FreeRecord(record);
   }
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// The segment of a read in flight, with its reader destroyed mid-read: one
+// word written at offset 5, page 0 evicted, then re-read by a process that
+// is destroyed while the read is posted.  Nothing connects the segment
+// afterwards, so it is the first victim AST replacement or deletion would
+// take.
+struct OrphanedRead {
+  explicit OrphanedRead(KernelFixture& fx) {
+    KernelGates& gates = fx.kernel.gates();
+    auto entry = gates.CreateSegment(*fx.ctx, gates.RootId(), "busy", WorldAcl(),
+                                     Label::SystemLow());
+    EXPECT_TRUE(entry.ok());
+    uid = SegmentUid(entry->value);
+    auto mine = gates.Initiate(*fx.ctx, *entry);
+    EXPECT_TRUE(gates.Write(*fx.ctx, *mine, 5, 4242).ok());
+    EXPECT_TRUE(gates.Terminate(*fx.ctx, *mine).ok());
+    AstEntry* ast = fx.kernel.segments().Find(uid);
+    EXPECT_TRUE(fx.kernel.page_frames()
+                    .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                               ast->page_ec)
+                    .ok());
+    auto reader = fx.kernel.processes().CreateProcess(TestSubject("Reader"));
+    EXPECT_TRUE(reader.ok());
+    ProcContext* ctx = fx.kernel.processes().Context(*reader);
+    auto theirs = gates.Initiate(*ctx, *entry);
+    EXPECT_EQ(gates.Read(*ctx, *theirs, 5).status().code(), Code::kBlocked);
+    EXPECT_TRUE(fx.kernel.processes().DestroyProcess(*reader).ok());
+    slot = fx.kernel.segments().FindIndex(uid);
+    EXPECT_EQ(ast->connections, 0u);
+    EXPECT_TRUE(ast->page_table.ptws[0].locked);
+  }
+
+  SegmentUid uid{};
+  uint32_t slot = kNoAst;
+};
+
+// AST replacement must not hand out the slot of a segment with a read in
+// flight: the completion targets the slot's page table.  Were the slot
+// reused, the landing read would unlock and clear page 0 of the new
+// occupant, whose frame the audit would then find detached, and the new
+// occupant's write would be lost.
+TEST(LockProtocol, AstReplacementSkipsASegmentWithAReadInFlight) {
+  KernelConfig config = AsyncConfig();
+  config.ast_slots = 12;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  const OrphanedRead busy(fx);
+  ASSERT_NE(busy.slot, kNoAst);
+
+  // Unconnected segments, each with page 0 resident and modified, until
+  // their activations have replaced more AST entries than there are slots.
+  std::vector<Segno> fills;
+  for (uint32_t i = 0; fx.kernel.metrics().Get("seg.ast_replacements") <= config.ast_slots;
+       ++i) {
+    ASSERT_LT(i, 4 * config.ast_slots);
+    auto entry = gates.CreateSegment(*fx.ctx, gates.RootId(), Numbered("fill", i), WorldAcl(),
+                                     Label::SystemLow());
+    ASSERT_TRUE(entry.ok()) << entry.status();
+    auto segno = gates.Initiate(*fx.ctx, *entry);
+    ASSERT_TRUE(segno.ok()) << segno.status();
+    ASSERT_TRUE(gates.Write(*fx.ctx, *segno, 0, 100 + i).ok());
+    ASSERT_TRUE(gates.Terminate(*fx.ctx, *segno).ok());
+    fills.push_back(*segno);
+  }
+  EXPECT_EQ(fx.kernel.segments().FindIndex(busy.uid), busy.slot);
+
+  RunPostedIo(fx.kernel);
+  EXPECT_EQ(fx.kernel.page_frames().pending_io(), 0u);
+  const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+  EXPECT_TRUE(findings.empty()) << findings.front();
+
+  PathWalker walker(&gates);
+  for (uint32_t i = 0; i < fills.size(); ++i) {
+    auto segno = walker.Initiate(*fx.ctx, ">" + Numbered("fill", i));
+    ASSERT_TRUE(segno.ok()) << segno.status();
+    auto value = SettledRead(fx.kernel, *fx.ctx, *segno, 0);
+    ASSERT_TRUE(value.ok()) << value.status();
+    EXPECT_EQ(*value, 100 + i) << "fill " << i;
+    ASSERT_TRUE(gates.Terminate(*fx.ctx, *segno).ok());
+  }
+  auto segno = walker.Initiate(*fx.ctx, ">busy");
+  ASSERT_TRUE(segno.ok()) << segno.status();
+  auto value = SettledRead(fx.kernel, *fx.ctx, *segno, 5);
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(*value, 4242u);
+}
+
+// Deleting the segment of a read in flight waits for the read, changing
+// nothing meanwhile; the retry after the page arrival deletes it cleanly.
+TEST(LockProtocol, DeleteWaitsForAReadInFlight) {
+  KernelFixture fx{AsyncConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  const OrphanedRead busy(fx);
+  const AstEntry* ast = fx.kernel.segments().Get(busy.slot);
+  ASSERT_NE(ast, nullptr);
+
+  const Status deleted = gates.Delete(*fx.ctx, gates.RootId(), "busy");
+  ASSERT_EQ(deleted.code(), Code::kBlocked) << deleted;
+  EXPECT_TRUE(fx.ctx->pending_wait.valid);
+  EXPECT_EQ(fx.ctx->pending_wait.ec.value, ast->page_ec.value);
+  EXPECT_EQ(fx.kernel.segments().FindIndex(busy.uid), busy.slot);
+  EXPECT_TRUE(gates.Search(*fx.ctx, gates.RootId(), "busy").ok());
+
+  RunPostedIo(fx.kernel);
+  EXPECT_GE(fx.kernel.ctx().eventcounts.Read(fx.ctx->pending_wait.ec),
+            fx.ctx->pending_wait.target);
+  ASSERT_TRUE(gates.Delete(*fx.ctx, gates.RootId(), "busy").ok());
+  EXPECT_EQ(fx.kernel.segments().FindIndex(busy.uid), kNoAst);
+  EXPECT_EQ(gates.Search(*fx.ctx, gates.RootId(), "busy").status().code(), Code::kNoEntry);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// Without slab parking, destroying a process tears down its state segment,
+// which must wait for a read in flight on it; the process is kept until the
+// retry.
+TEST(LockProtocol, ProcessTeardownWaitsForAStateSegmentRead) {
+  KernelConfig config = AsyncConfig();
+  config.slab_processes = false;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  auto pid = fx.kernel.processes().CreateProcess(TestSubject("Doomed"));
+  ASSERT_TRUE(pid.ok());
+  // The state segment is the new process's only binding: the first segno
+  // above the system range.  Ring 0 reaches it, as the dispatcher does.
+  const Segno state(kSystemSegnoLimit);
+  const KstEntry* binding = fx.kernel.known_segments().Lookup(*pid, state);
+  ASSERT_NE(binding, nullptr);
+  const SegmentUid uid = binding->home.uid;
+  ProcContext ring0 = *fx.kernel.processes().Context(*pid);
+  ring0.subject.ring = 0;
+  ASSERT_TRUE(SettledWrite(fx.kernel, ring0, state, 0, 9).ok());
+  AstEntry* ast = fx.kernel.segments().Find(uid);
+  ASSERT_NE(ast, nullptr);
+  ASSERT_TRUE(fx.kernel.page_frames()
+                  .EvictPage(&ast->page_table, 0, ast->pack, ast->vtoc, ast->quota_cell,
+                             ast->page_ec)
+                  .ok());
+  ASSERT_EQ(fx.kernel.gates().Read(ring0, state, 0).status().code(), Code::kBlocked);
+
+  WaitSpec wait;
+  ASSERT_EQ(fx.kernel.processes().DestroyProcess(*pid, &wait).code(), Code::kBlocked);
+  EXPECT_TRUE(wait.valid);
+  EXPECT_EQ(wait.ec.value, ast->page_ec.value);
+  EXPECT_NE(fx.kernel.processes().Context(*pid), nullptr);
+
+  RunPostedIo(fx.kernel);
+  ASSERT_TRUE(fx.kernel.processes().DestroyProcess(*pid).ok());
+  EXPECT_EQ(fx.kernel.processes().Context(*pid), nullptr);
+  EXPECT_EQ(fx.kernel.segments().FindIndex(uid), kNoAst);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+}
+
+// Shutdown lands posted reads before it deactivates anything.
+TEST(LockProtocol, ShutdownLandsReadsInFlight) {
+  KernelFixture fx{AsyncConfig()};
+  ASSERT_TRUE(fx.boot_status.ok());
+  const OrphanedRead busy(fx);
+  ASSERT_EQ(fx.kernel.page_frames().pending_io(), 1u);
+  ASSERT_TRUE(fx.kernel.Shutdown().ok());
+  EXPECT_EQ(fx.kernel.page_frames().pending_io(), 0u);
+  EXPECT_EQ(fx.kernel.segments().active_count(), 0u);
   EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
 }
 

@@ -1,13 +1,12 @@
 // Tests for the flattened simulator core (the host-throughput refactor).
 //
-// The refactor's contract is byte-identical virtual-time output: the
-// tournament-tree dispatcher, the pooled event queue, and the lazy page fill
-// are host-side reorganizations only.  Three layers of evidence:
-//  * unit — the O(1) min-structure agrees with a reference linear scan under
-//    arbitrary Accrue/AdvanceAll/AlignAll/masked-query sequences (the
-//    reference IS the old dispatcher, so this is old-vs-new selection);
-//  * unit — the pooled event queue keeps FIFO tie-break order, survives
-//    closures past the inline buffer, and recycles slots;
+// The core's contract is byte-identical virtual-time output: CPU selection
+// and the lazy page fill are host-side choices only.  Two layers of
+// evidence (the posted-read FIFO's contract is tested in sim_test.cc):
+//  * unit — the pool's mask scan, with its shared base offset and cached
+//    makespan, agrees with a reference model that keeps absolute per-CPU
+//    clocks, under arbitrary Accrue/AdvanceAll/AlignAll/masked-query
+//    sequences;
 //  * end-to-end — double runs of the P11/P12/P13 workload shapes at 1, 4,
 //    and 16 CPUs produce byte-identical counter snapshots and trace exports.
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "src/sim/cpu_sched.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/sim/trace.h"
 #include "tests/kernel_fixture.h"
@@ -27,10 +25,10 @@ namespace mks {
 namespace {
 
 // ---------------------------------------------------------------------------
-// CpuInterleave: tournament tree vs the reference linear scan.
+// CpuInterleave vs a reference with absolute clocks.
 // ---------------------------------------------------------------------------
 
-// The pre-refactor dispatcher: per-CPU absolute clocks, linear scans.
+// Per-CPU absolute clocks, linear scans, makespan recomputed on demand.
 struct ReferenceInterleave {
   explicit ReferenceInterleave(uint16_t n) : locals(n, 0) {}
 
@@ -78,24 +76,23 @@ struct ReferenceInterleave {
   std::vector<Cycles> locals;
 };
 
-void ExpectAgreement(const CpuInterleave& tree, const ReferenceInterleave& ref,
+void ExpectAgreement(const CpuInterleave& pool, const ReferenceInterleave& ref,
                      uint32_t some_mask) {
-  ASSERT_EQ(tree.count(), ref.locals.size());
-  EXPECT_EQ(tree.NextCpu(), ref.NextCpu());
-  EXPECT_EQ(tree.Makespan(), ref.Makespan());
-  for (uint16_t k = 0; k < tree.count(); ++k) {
-    EXPECT_EQ(tree.local_now(k), ref.locals[k]) << "cpu " << k;
+  ASSERT_EQ(pool.count(), ref.locals.size());
+  EXPECT_EQ(pool.NextCpu(), ref.NextCpu());
+  EXPECT_EQ(pool.Makespan(), ref.Makespan());
+  for (uint16_t k = 0; k < pool.count(); ++k) {
+    EXPECT_EQ(pool.local_now(k), ref.locals[k]) << "cpu " << k;
   }
-  const uint32_t pool = tree.count() >= 32 ? ~0u : (1u << tree.count()) - 1u;
-  if ((some_mask & pool) != 0) {
-    EXPECT_EQ(tree.NextCpuIn(some_mask), ref.NextCpuIn(some_mask & pool));
+  if ((some_mask & pool.PoolMask()) != 0) {
+    EXPECT_EQ(pool.NextCpuIn(some_mask), ref.NextCpuIn(some_mask & pool.PoolMask()));
   }
 }
 
-TEST(CpuInterleaveTree, MatchesReferenceScanUnderMixedOps) {
-  for (uint16_t cpus : {1, 2, 3, 4, 7, 8, 16}) {
+TEST(CpuInterleave, MatchesReferenceScanUnderMixedOps) {
+  for (uint16_t cpus : {1, 2, 3, 4, 7, 8, 16, 32}) {
     Metrics metrics;
-    CpuInterleave tree(cpus, &metrics);
+    CpuInterleave pool(cpus, &metrics);
     ReferenceInterleave ref(cpus);
     std::mt19937 rng(12345u + cpus);
     for (int step = 0; step < 500; ++step) {
@@ -103,122 +100,69 @@ TEST(CpuInterleaveTree, MatchesReferenceScanUnderMixedOps) {
       if (pick < 70) {
         const uint16_t cpu = static_cast<uint16_t>(rng() % cpus);
         const Cycles delta = rng() % 1000;
-        tree.Accrue(cpu, delta);
+        pool.Accrue(cpu, delta);
         ref.Accrue(cpu, delta);
       } else if (pick < 85) {
         const Cycles delta = rng() % 500;
-        tree.AdvanceAll(delta);
+        pool.AdvanceAll(delta);
         ref.AdvanceAll(delta);
       } else {
-        tree.AlignAll();
+        pool.AlignAll();
         ref.AlignAll();
       }
-      ExpectAgreement(tree, ref, rng());
+      ExpectAgreement(pool, ref, rng());
     }
   }
 }
 
 TEST(CpuInterleaveTree, TiesResolveToLowestIndex) {
   Metrics metrics;
-  CpuInterleave tree(4, &metrics);
-  EXPECT_EQ(tree.NextCpu(), 0u);  // all zero: lowest index wins
-  tree.Accrue(0, 10);
-  EXPECT_EQ(tree.NextCpu(), 1u);
-  tree.Accrue(1, 10);
-  tree.Accrue(2, 10);
-  tree.Accrue(3, 10);
-  EXPECT_EQ(tree.NextCpu(), 0u);  // tied again at 10
-  EXPECT_EQ(tree.NextCpuIn(0b1100), 2u);  // tie inside the mask: lowest set bit
+  CpuInterleave pool(4, &metrics);
+  EXPECT_EQ(pool.NextCpu(), 0u);  // all zero: lowest index wins
+  pool.Accrue(0, 10);
+  EXPECT_EQ(pool.NextCpu(), 1u);
+  pool.Accrue(1, 10);
+  pool.Accrue(2, 10);
+  pool.Accrue(3, 10);
+  EXPECT_EQ(pool.NextCpu(), 0u);  // tied again at 10
+  EXPECT_EQ(pool.NextCpuIn(0b1100), 2u);  // tie inside the mask: lowest set bit
 }
 
 TEST(CpuInterleaveTree, AlignAllSynchronizesToMakespan) {
   Metrics metrics;
-  CpuInterleave tree(3, &metrics);
-  tree.Accrue(1, 100);
-  tree.Accrue(2, 40);
-  EXPECT_EQ(tree.Makespan(), 100u);
-  tree.AlignAll();
+  CpuInterleave pool(3, &metrics);
+  pool.Accrue(1, 100);
+  pool.Accrue(2, 40);
+  EXPECT_EQ(pool.Makespan(), 100u);
+  pool.AlignAll();
   for (uint16_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(tree.local_now(k), 100u);
+    EXPECT_EQ(pool.local_now(k), 100u);
   }
-  EXPECT_EQ(tree.NextCpu(), 0u);
-  tree.AdvanceAll(7);
-  EXPECT_EQ(tree.Makespan(), 107u);
-  EXPECT_EQ(tree.local_now(2), 107u);
+  EXPECT_EQ(pool.NextCpu(), 0u);
+  pool.AdvanceAll(7);
+  EXPECT_EQ(pool.Makespan(), 107u);
+  EXPECT_EQ(pool.local_now(2), 107u);
 }
 
 TEST(CpuInterleaveTree, MaskedQuerySelectsLeastBehindWithinMask) {
   Metrics metrics;
-  CpuInterleave tree(4, &metrics);
-  tree.Accrue(0, 5);
-  tree.Accrue(1, 50);
-  tree.Accrue(2, 20);
-  tree.Accrue(3, 30);
-  EXPECT_EQ(tree.NextCpu(), 0u);
-  EXPECT_EQ(tree.NextCpuIn(0b1110), 2u);  // 0 excluded: 2 is least behind
-  EXPECT_EQ(tree.NextCpuIn(0b1010), 3u);
+  CpuInterleave pool(4, &metrics);
+  pool.Accrue(0, 5);
+  pool.Accrue(1, 50);
+  pool.Accrue(2, 20);
+  pool.Accrue(3, 30);
+  EXPECT_EQ(pool.NextCpu(), 0u);
+  EXPECT_EQ(pool.NextCpuIn(0b1110), 2u);  // 0 excluded: 2 is least behind
+  EXPECT_EQ(pool.NextCpuIn(0b1010), 3u);
   // Mask bits beyond the pool are ignored as long as one real CPU is set.
-  EXPECT_EQ(tree.NextCpuIn(0xFFF0u | 0b0100), 2u);
+  EXPECT_EQ(pool.NextCpuIn(0xFFF0u | 0b0100), 2u);
 }
 
 TEST(CpuInterleaveDeathTest, NonIntersectingMaskAborts) {
   Metrics metrics;
-  CpuInterleave tree(2, &metrics);
-  EXPECT_DEATH(tree.NextCpuIn(0), "selects no CPU");
-  EXPECT_DEATH(tree.NextCpuIn(0b100), "selects no CPU");
-}
-
-// ---------------------------------------------------------------------------
-// EventQueue: pooled closures.
-// ---------------------------------------------------------------------------
-
-TEST(EventQueuePool, LargeCapturesFallBackToHeapAndStillRun) {
-  EventQueue queue;
-  struct Big {
-    char payload[128];
-    int* sink;
-  };
-  int fired = 0;
-  Big big{};
-  big.payload[0] = 42;
-  big.sink = &fired;
-  static_assert(sizeof(Big) > 48, "test needs an over-inline-buffer capture");
-  queue.Schedule(10, [big] { *big.sink += big.payload[0]; });
-  EXPECT_EQ(queue.RunDue(10), 1u);
-  EXPECT_EQ(fired, 42);
-}
-
-TEST(EventQueuePool, SlotsRecycleAcrossManyRounds) {
-  EventQueue queue;
-  uint64_t sum = 0;
-  // Far more events than one slab (64 slots), scheduled and drained in
-  // waves, so slots must be recycled for the pool not to grow unboundedly.
-  for (int wave = 0; wave < 50; ++wave) {
-    for (int i = 0; i < 100; ++i) {
-      queue.Schedule(static_cast<Cycles>(wave * 100 + i), [&sum, i] { sum += i; });
-    }
-    EXPECT_EQ(queue.RunDue((wave + 1) * 100), 100u);
-  }
-  EXPECT_EQ(sum, 50u * 4950u);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueuePool, FifoOrderSurvivesInterleavedScheduleAndRun) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(10, [&] {
-    order.push_back(0);
-    // Scheduled mid-run at the same due time: must run after everything
-    // already queued for t=10 (later sequence number).
-    queue.Schedule(10, [&] { order.push_back(3); });
-  });
-  queue.Schedule(10, [&] { order.push_back(1); });
-  queue.Schedule(10, [&] { order.push_back(2); });
-  EXPECT_EQ(queue.RunDue(10), 4u);
-  ASSERT_EQ(order.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(order[i], i);
-  }
+  CpuInterleave pool(2, &metrics);
+  EXPECT_DEATH(pool.NextCpuIn(0), "selects no CPU");
+  EXPECT_DEATH(pool.NextCpuIn(0b100), "selects no CPU");
 }
 
 // ---------------------------------------------------------------------------
