@@ -8,6 +8,11 @@
 //  SPEED — the user-domain configuration pays a gate crossing per read and
 //          the structured-code factor on protocol work; the kernel part of
 //          the path becomes trivial.
+//
+// The terminal-path row also times the host: lines from 256 terminals
+// through the demux rings and the terminal protocol (host_ns_per_frame,
+// left out under MKS_BENCH_NO_HOST=1).
+#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -73,6 +78,65 @@ double RunDemuxStack(int networks) {
   return static_cast<double>(clock.now() - before) / kFrames;
 }
 
+// The terminal path as perfbench's rush_hour drives it: each line goes out as
+// frames of up to 8 characters on its terminal's subchannel, through
+// GenericDemux and the user-domain TerminalProtocolUser, and is read back.
+// The virtual cost is deterministic; the host cost is the tracked figure
+// (CI gates host_ns_per_frame against the merge-base on the same runner).
+struct TerminalPathResult {
+  uint64_t frames = 0;
+  uint64_t lines = 0;
+  double cyc_per_frame = 0;
+  double host_ns_per_frame = 0;
+  bool lines_intact = true;
+};
+
+constexpr int kTerminalLines = 100000;
+constexpr uint16_t kTerminals = 256;
+constexpr size_t kCharsPerFrame = 8;
+
+TerminalPathResult RunTerminalPath() {
+  Clock clock;
+  CostModel cost(&clock);
+  Metrics metrics;
+  MultiplexedChannel front_end(ChannelId(0), "front_end");
+  GenericDemux demux(&cost, &metrics);
+  demux.AttachChannel(&front_end);
+  TerminalProtocolUser tty(&cost, &metrics, &demux, ChannelId(0));
+  const std::string shapes[] = {"login Person17 Proj17 pw134624", "run prog3", "logout"};
+  std::vector<uint32_t> seq(kTerminals, 0);
+  TerminalPathResult out;
+  const Cycles before = clock.now();
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kTerminalLines; ++i) {
+    const uint16_t t = static_cast<uint16_t>(i % kTerminals);
+    const std::string& line = shapes[i % 3];
+    const size_t length = line.size() + 1;  // the newline ends the line
+    for (size_t at = 0; at < length; at += kCharsPerFrame) {
+      Frame frame;
+      frame.subchannel = SubchannelId(t);
+      frame.type = frame_type::kData;
+      frame.seq = seq[t]++;
+      for (size_t j = at; j < length && j < at + kCharsPerFrame; ++j) {
+        frame.payload.push_back(static_cast<uint8_t>(j < line.size() ? line[j] : '\n'));
+      }
+      front_end.Inject(std::move(frame));
+      ++out.frames;
+    }
+    demux.Pump();
+    tty.PumpLine(SubchannelId(t));
+    auto got = tty.ReadLine(SubchannelId(t));
+    out.lines_intact = out.lines_intact && got.has_value() && *got == line;
+    ++out.lines;
+  }
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  out.cyc_per_frame = static_cast<double>(clock.now() - before) / static_cast<double>(out.frames);
+  out.host_ns_per_frame = static_cast<double>(ns) / static_cast<double>(out.frames);
+  return out;
+}
+
 // The size model: kernel lines as a function of attached networks.
 int BaselineKernelLines(int networks) { return networks * 3500; }  // 7000 lines for 2 networks
 int DemuxKernelLines(int networks) { return 900 + networks * 50; }  // registration only
@@ -110,8 +174,25 @@ int main() {
   }
   std::printf("\nuser-domain overhead at 2 networks: %.1f%%\n",
               100.0 * (user_cost2 / kernel_cost2 - 1.0));
+
+  const TerminalPathResult tty = RunTerminalPath();
+  std::printf("\nTERMINAL PATH (%d terminals, front end -> demux -> user-domain terminal protocol):\n",
+              kTerminals);
+  std::printf("  %llu lines, %llu frames, %.1f sim cycles/frame, lines intact: %s\n",
+              (unsigned long long)tty.lines, (unsigned long long)tty.frames, tty.cyc_per_frame,
+              tty.lines_intact ? "yes" : "no");
+  JsonLine terminal_row("network_terminal");
+  terminal_row.Field("terminals", static_cast<uint64_t>(kTerminals))
+      .Field("lines", tty.lines)
+      .Field("frames", tty.frames)
+      .Field("cyc_per_frame", tty.cyc_per_frame);
+  if (HostFieldsEnabled()) {
+    terminal_row.Field("host_ns_per_frame", tty.host_ns_per_frame);
+  }
+  EmitJson(terminal_row);
   const bool size_shape = DemuxKernelLines(4) < 1200 && BaselineKernelLines(4) > 10000;
-  const bool speed_shape = user_cost2 > kernel_cost2 && user_cost2 < 4.0 * kernel_cost2;
+  const bool speed_shape = user_cost2 > kernel_cost2 && user_cost2 < 4.0 * kernel_cost2 &&
+                           tty.lines_intact;
   EmitJson(JsonLine("network_summary")
                .Field("user_domain_overhead_pct", 100.0 * (user_cost2 / kernel_cost2 - 1.0))
                .Field("reproduced", (size_shape && speed_shape) ? "yes" : "no"));

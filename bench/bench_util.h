@@ -74,6 +74,13 @@ class JsonLine {
   std::string body_;
 };
 
+// False under MKS_BENCH_NO_HOST=1: every host-time field, EmitJson's own and
+// any a bench measures itself, is left out so outputs diff byte for byte.
+inline bool HostFieldsEnabled() {
+  static const bool with_host = std::getenv("MKS_BENCH_NO_HOST") == nullptr;
+  return with_host;
+}
+
 // Process start, the first result line's host-time origin.
 inline const std::chrono::steady_clock::time_point kBenchHostStart =
     std::chrono::steady_clock::now();
@@ -86,8 +93,7 @@ inline const std::chrono::steady_clock::time_point kBenchHostStart =
 // part of the deterministic result — so MKS_BENCH_NO_HOST=1 suppresses them
 // for byte-stable output comparisons.
 inline void EmitJson(const JsonLine& line) {
-  static const bool with_host = std::getenv("MKS_BENCH_NO_HOST") == nullptr;
-  if (!with_host) {
+  if (!HostFieldsEnabled()) {
     std::printf("{%s}\n", line.body().c_str());
     return;
   }

@@ -120,11 +120,12 @@ int main() {
               (unsigned long long)audit.total_count(),
               (unsigned long long)audit.denial_count());
   int shown = 0;
-  for (auto it = audit.records().rbegin(); it != audit.records().rend() && shown < 5; ++it) {
-    if (it->outcome != Code::kOk) {
-      std::printf("  t=%-8llu %-16s %-18s %-12s %s\n", (unsigned long long)it->time,
-                  it->subject.c_str(), it->operation.c_str(), it->target.c_str(),
-                  std::string(CodeName(it->outcome)).c_str());
+  for (size_t i = audit.size(); i-- > 0 && shown < 5;) {
+    const AuditRecord& rec = audit.at(i);
+    if (rec.outcome != Code::kOk) {
+      std::printf("  t=%-8llu %-16s %-18s %-12s %s\n", (unsigned long long)rec.time,
+                  rec.subject.c_str(), rec.operation.c_str(), rec.target.c_str(),
+                  std::string(CodeName(rec.outcome)).c_str());
       ++shown;
     }
   }

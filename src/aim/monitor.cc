@@ -29,15 +29,37 @@ std::string AccessModes::ToString() const {
   return s;
 }
 
-void AuditLog::Append(AuditRecord record) {
+void AuditLog::Append(Cycles time, std::initializer_list<std::string_view> subject,
+                      std::string_view operation, std::initializer_list<std::string_view> target,
+                      Code outcome) {
   ++total_;
-  if (record.outcome != Code::kOk) {
+  if (outcome != Code::kOk) {
     ++denials_;
   }
-  records_.push_back(std::move(record));
-  if (records_.size() > capacity_) {
-    records_.pop_front();
+  if (capacity_ == 0) {
+    return;
   }
+  AuditRecord* slot = nullptr;
+  if (slots_.size() < capacity_) {
+    if (slots_.empty()) {
+      slots_.reserve(capacity_);
+    }
+    slot = &slots_.emplace_back();
+  } else {
+    slot = &slots_[next_];
+    next_ = (next_ + 1) % capacity_;
+  }
+  slot->time = time;
+  slot->subject.clear();
+  for (std::string_view part : subject) {
+    slot->subject += part;
+  }
+  slot->operation.assign(operation);
+  slot->target.clear();
+  for (std::string_view part : target) {
+    slot->target += part;
+  }
+  slot->outcome = outcome;
 }
 
 Status ReferenceMonitor::CheckFlow(const Subject& subject, const Label& object_label,
@@ -62,12 +84,12 @@ Status ReferenceMonitor::CheckFlow(const Subject& subject, const Label& object_l
 Status ReferenceMonitor::CheckAccess(const Subject& subject, const Acl& acl,
                                      const Label& object_label, FlowDirection dir,
                                      bool need_read, bool need_write, bool need_execute,
-                                     const std::string& operation, const std::string& target) {
+                                     std::string_view operation, std::string_view target) {
   Status status = Status::Ok();
   const AccessModes modes = acl.ModesFor(subject.principal);
   if ((need_read && !modes.read) || (need_write && !modes.write) ||
       (need_execute && !modes.execute)) {
-    status = Status(Code::kNoAccess, "acl denies " + operation);
+    status = Status(Code::kNoAccess, "acl denies " + std::string(operation));
   } else {
     status = CheckFlow(subject, object_label, dir);
     if (status.ok() && need_write && dir == FlowDirection::kObserve) {
@@ -75,14 +97,15 @@ Status ReferenceMonitor::CheckAccess(const Subject& subject, const Acl& acl,
       status = CheckFlow(subject, object_label, FlowDirection::kModify);
     }
   }
-  Audit(subject, operation, target, status.code());
+  Audit(subject, operation, {target}, status.code());
   return status;
 }
 
-void ReferenceMonitor::Audit(const Subject& subject, const std::string& operation,
-                             const std::string& target, Code outcome) {
-  audit_.Append(AuditRecord{clock_->now(), subject.principal.ToString(), operation, target,
-                            outcome});
+void ReferenceMonitor::Audit(const Subject& subject, std::string_view operation,
+                             std::initializer_list<std::string_view> target, Code outcome) {
+  // The subject reads as Principal::ToString does: person.project.
+  audit_.Append(clock_->now(), {subject.principal.person, ".", subject.principal.project},
+                operation, target, outcome);
 }
 
 }  // namespace mks

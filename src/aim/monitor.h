@@ -9,8 +9,10 @@
 #define MKS_AIM_MONITOR_H_
 
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/aim/acl.h"
 #include "src/aim/label.h"
@@ -34,18 +36,29 @@ struct AuditRecord {
   Code outcome = Code::kOk;
 };
 
+// The audit trail: the last `capacity` records in a fixed ring, overwritten
+// in place.  A record's subject and target are the concatenations of their
+// parts, written into the slot's own strings, so once every slot has held a
+// record as long as the next one an append allocates nothing.  Texts are
+// kept whole: entry names have no length limit.
 class AuditLog {
  public:
   explicit AuditLog(size_t capacity = 4096) : capacity_(capacity) {}
 
-  void Append(AuditRecord record);
-  const std::deque<AuditRecord>& records() const { return records_; }
+  void Append(Cycles time, std::initializer_list<std::string_view> subject,
+              std::string_view operation, std::initializer_list<std::string_view> target,
+              Code outcome);
+  // Records held: min(total_count, capacity).
+  size_t size() const { return slots_.size(); }
+  // The i-th record held, oldest first.
+  const AuditRecord& at(size_t i) const { return slots_[(next_ + i) % slots_.size()]; }
   uint64_t denial_count() const { return denials_; }
   uint64_t total_count() const { return total_; }
 
  private:
   size_t capacity_;
-  std::deque<AuditRecord> records_;
+  std::vector<AuditRecord> slots_;  // grows to capacity_, then wraps
+  size_t next_ = 0;                 // slot the next append overwrites, once full
   uint64_t denials_ = 0;
   uint64_t total_ = 0;
 };
@@ -70,11 +83,12 @@ class ReferenceMonitor {
   // `operation`/`target` feed the audit trail.
   Status CheckAccess(const Subject& subject, const Acl& acl, const Label& object_label,
                      FlowDirection dir, bool need_read, bool need_write, bool need_execute,
-                     const std::string& operation, const std::string& target);
+                     std::string_view operation, std::string_view target);
 
   // Records an access decision made elsewhere (e.g. hardware access bits).
-  void Audit(const Subject& subject, const std::string& operation, const std::string& target,
-             Code outcome);
+  // The target is the concatenation of `target`'s parts.
+  void Audit(const Subject& subject, std::string_view operation,
+             std::initializer_list<std::string_view> target, Code outcome);
 
   const AuditLog& audit_log() const { return audit_; }
 

@@ -72,18 +72,29 @@ void AssociativeMemory::Insert(uint64_t key, Ptw* ptw, bool read, bool write, bo
     ReleasePtw(victim->ptw);
   }
   ++ptw->assoc_refs;
+  tag_filter_ |= TagBit(TagOf(key));
   *victim = Entry{true, key, ptw, read, write, execute, ring_bracket, ++stamp_};
 }
 
 uint32_t AssociativeMemory::InvalidateTag(uint32_t tag) {
+  if (!MayHoldTag(tag)) {
+    return 0;
+  }
   uint32_t dropped = 0;
+  uint64_t held = 0;
   for (Entry& e : slots_) {
-    if (e.valid && static_cast<uint32_t>(e.key >> 32) == tag) {
+    if (!e.valid) {
+      continue;
+    }
+    if (TagOf(e.key) == tag) {
       e.valid = false;
       ReleasePtw(e.ptw);
       ++dropped;
+    } else {
+      held |= TagBit(TagOf(e.key));
     }
   }
+  tag_filter_ = held;
   return dropped;
 }
 
@@ -109,13 +120,20 @@ uint32_t AssociativeMemory::InvalidatePageTable(const PageTable* pt) {
   const Ptw* first = pt->ptws.data();
   const Ptw* last = first + pt->ptws.size();
   uint32_t dropped = 0;
+  uint64_t held = 0;
   for (Entry& e : slots_) {
-    if (e.valid && e.ptw >= first && e.ptw < last) {
+    if (!e.valid) {
+      continue;
+    }
+    if (e.ptw >= first && e.ptw < last) {
       e.valid = false;
       ReleasePtw(e.ptw);
       ++dropped;
+    } else {
+      held |= TagBit(TagOf(e.key));
     }
   }
+  tag_filter_ = held;
   return dropped;
 }
 
@@ -126,6 +144,7 @@ void AssociativeMemory::Flush() {
       ReleasePtw(e.ptw);
     }
   }
+  tag_filter_ = 0;
 }
 
 PrimaryMemory::PrimaryMemory(uint32_t frame_count, CostModel* cost, Metrics* metrics)

@@ -185,10 +185,13 @@ class AssociativeMemory {
   void Insert(uint64_t key, Ptw* ptw, bool read, bool write, bool execute,
               uint8_t ring_bracket);
 
-  // Invalidation protocol.  All are O(capacity); invalidation events are
-  // orders of magnitude rarer than lookups.  Every path that drops a valid
-  // entry gives back its PTW presence count, so `Ptw::assoc_refs == 0` is an
-  // exact "no cache anywhere holds this PTW" test.
+  // Invalidation protocol.  Invalidation is not rare: every terminate
+  // clears one segno on every CPU (about one clear per five translations in
+  // perfbench's rush_hour), so InvalidateTag first consults a summary of the
+  // tags held and returns at once when the tag cannot be present; the other
+  // forms scan the capacity.  Every path that drops a valid entry gives back
+  // its PTW presence count, so `Ptw::assoc_refs == 0` is an exact "no cache
+  // anywhere holds this PTW" test.
   void InvalidateEntry(Entry* entry) {
     if (entry->valid) {
       entry->valid = false;
@@ -198,6 +201,9 @@ class AssociativeMemory {
   // Drops every entry whose key's high 32 bits equal `tag` (a segno for the
   // Processor, an AST slot for the baseline).  Returns entries dropped.
   uint32_t InvalidateTag(uint32_t tag);
+  // True unless no valid entry carries `tag`: the summary may answer true
+  // for an absent tag (it over-approximates), never false for a present one.
+  bool MayHoldTag(uint32_t tag) const { return (tag_filter_ & TagBit(tag)) != 0; }
   // Drops every entry caching `ptw` (page eviction).
   uint32_t InvalidatePtw(const Ptw* ptw);
   // Drops every entry whose PTW lies inside `pt`'s table (deactivation: the
@@ -216,10 +222,16 @@ class AssociativeMemory {
     assert(ptw != nullptr && ptw->assoc_refs > 0);
     --ptw->assoc_refs;
   }
+  static uint64_t TagBit(uint32_t tag) { return uint64_t{1} << (tag & 63); }
+  static uint32_t TagOf(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
 
   std::vector<Entry> slots_;  // set_count_ sets of kWays consecutive entries
   size_t set_count_ = 0;
   uint64_t stamp_ = 0;
+  // Bit (tag & 63) is set for every tag a valid entry carries: set on
+  // Insert, rebuilt exactly by every full scan, cleared by Flush.  Drops
+  // between scans leave stale bits, so it over-approximates.
+  uint64_t tag_filter_ = 0;
 };
 
 // Backing store a pending page frame fills from on first touch (the disk

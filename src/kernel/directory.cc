@@ -102,7 +102,7 @@ Result<EntryId> DirectoryManager::Search(const Subject& subject, EntryId dir_id,
   const bool observable = CanObserveDir(subject, *dir);
   auto it = dir->entries.find(std::string(name));
   if (observable) {
-    ctx_->monitor.Audit(subject, "search", dir->name + ">" + std::string(name), Code::kOk);
+    ctx_->monitor.Audit(subject, "search", {dir->name, ">", name}, Code::kOk);
     if (it == dir->entries.end()) {
       return Status(Code::kNoEntry, std::string(name));
     }
@@ -111,7 +111,7 @@ Result<EntryId> DirectoryManager::Search(const Subject& subject, EntryId dir_id,
   // Inaccessible directory: if the name exists, return the REAL identifier so
   // a path through it can still reach an accessible object; otherwise return
   // a mythical identifier.  The requester cannot tell which happened.
-  ctx_->monitor.Audit(subject, "search(opaque)", std::string(name), Code::kOk);
+  ctx_->monitor.Audit(subject, "search(opaque)", {name}, Code::kOk);
   if (it != dir->entries.end()) {
     return EntryId(it->second.uid.value);
   }
@@ -344,10 +344,10 @@ Status DirectoryManager::ListNames(const Subject& subject, EntryId dir_id,
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   DirectoryRec* dir = FindDir(dir_id);
   if (dir == nullptr || !CanObserveDir(subject, *dir)) {
-    ctx_->monitor.Audit(subject, "list", "?", Code::kNoAccess);
+    ctx_->monitor.Audit(subject, "list", {"?"}, Code::kNoAccess);
     return Status(Code::kNoAccess, "list");
   }
-  ctx_->monitor.Audit(subject, "list", ">" + dir->name, Code::kOk);
+  ctx_->monitor.Audit(subject, "list", {">", dir->name}, Code::kOk);
   out->clear();
   for (const auto& [name, entry] : dir->entries) {
     out->push_back(name);
@@ -455,7 +455,7 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
   if (parent_it == parent_of_.end()) {
     // Mythical, stale, or the root itself: "no access", indistinguishable
     // from a real object the subject cannot touch.
-    ctx_->monitor.Audit(subject, "initiate", "?", Code::kNoAccess);
+    ctx_->monitor.Audit(subject, "initiate", {"?"}, Code::kNoAccess);
     return Status(Code::kNoAccess, "initiate");
   }
   auto dir_it = dirs_.find(parent_it->second);
@@ -483,10 +483,10 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
     modes.write = false;
   }
   if (!modes.any()) {
-    ctx_->monitor.Audit(subject, "initiate", entry->name, Code::kNoAccess);
+    ctx_->monitor.Audit(subject, "initiate", {entry->name}, Code::kNoAccess);
     return Status(Code::kNoAccess, "initiate " + entry->name);
   }
-  ctx_->monitor.Audit(subject, "initiate", entry->name, Code::kOk);
+  ctx_->monitor.Audit(subject, "initiate", {entry->name}, Code::kOk);
 
   // The static quota binding handed downward at initiation.
   const DirectoryRec& dir = dir_it->second;

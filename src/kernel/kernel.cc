@@ -145,6 +145,7 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   std::vector<std::string> findings;
   pfm_->AuditIntegrity(&findings);
   spaces_->AuditIntegrity(&findings);
+  ksm_->AuditIntegrity(&findings);
   dirs_->AuditQuotaIntegrity(&findings);
   return findings;
 }

@@ -1,5 +1,7 @@
 #include "src/kernel/known_segment.h"
 
+#include <algorithm>
+
 namespace mks {
 
 KnownSegmentManager::KnownSegmentManager(KernelContext* ctx, SegmentManager* segs,
@@ -49,8 +51,8 @@ Status KnownSegmentManager::DestroyKst(ProcessId pid) {
 Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
   ManagerScope scope(&ctx_->scopes, self_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
-  // Check-then-clear: scan under a read section first, and only pay the
-  // write side when a binding actually needs clearing.  A process that
+  // Check-then-clear: count live bindings under a read section first, and
+  // only pay the write side when a binding actually needs clearing.  A process that
   // initiated nothing beyond its state record — the common slab-reuse case —
   // resets without excluding the naming surface's readers.
   bool dirty = false;
@@ -60,13 +62,8 @@ Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
     if (it == ksts_.end()) {
       return Status(Code::kNotFound, "no KST");
     }
-    for (uint16_t i = 0; i < it->second.entries.size(); ++i) {
-      const uint16_t segno = static_cast<uint16_t>(kSystemSegnoLimit + i);
-      if (it->second.entries[i].valid && segno != keep.value) {
-        dirty = true;
-        break;
-      }
-    }
+    const KstEntry* kept = Find(pid, keep);
+    dirty = it->second.live > (kept != nullptr && kept->valid ? 1 : 0);
   }
   ctx_->metrics.Inc(id_kst_resets_);
   if (!dirty) {
@@ -84,7 +81,7 @@ Status KnownSegmentManager::ResetKst(ProcessId pid, Segno keep) {
     if (ds != nullptr && ds->sdws[i].present) {
       MKS_RETURN_IF_ERROR(spaces_->Disconnect(pid, segno));
     }
-    kst.entries[i] = KstEntry{};
+    kst.Unbind(i);
     ctx_->metrics.Inc(id_terminates_);
   }
   return Status::Ok();
@@ -101,18 +98,18 @@ Result<Segno> KnownSegmentManager::Initiate(ProcessId pid, const SegmentHome& ho
   }
   Kst& kst = it->second;
   // Re-initiating the same segment returns the existing binding.
-  for (uint16_t i = 0; i < kst.entries.size(); ++i) {
-    if (kst.entries[i].valid && kst.entries[i].home.uid == home.uid) {
-      return Segno(static_cast<uint16_t>(kSystemSegnoLimit + i));
-    }
+  if (const int bound = kst.IndexOf(home.uid); bound >= 0) {
+    return Segno(static_cast<uint16_t>(kSystemSegnoLimit + bound));
   }
-  for (uint16_t i = 0; i < kst.entries.size(); ++i) {
+  for (uint16_t i = kst.free_hint; i < kst.entries.size(); ++i) {
     if (!kst.entries[i].valid) {
-      kst.entries[i] = KstEntry{true, home, modes, ring_bracket};
+      kst.free_hint = i;
+      kst.Bind(i, KstEntry{true, home, modes, ring_bracket});
       ctx_->metrics.Inc(id_initiates_);
       return Segno(static_cast<uint16_t>(kSystemSegnoLimit + i));
     }
   }
+  kst.free_hint = static_cast<uint16_t>(kst.entries.size());
   return Status(Code::kResourceExhausted, "known segment table full");
 }
 
@@ -128,7 +125,7 @@ Status KnownSegmentManager::Terminate(ProcessId pid, Segno segno) {
   if (ds != nullptr && ds->sdws[index].present) {
     MKS_RETURN_IF_ERROR(spaces_->Disconnect(pid, segno));
   }
-  *entry = KstEntry{};
+  ksts_.find(pid)->second.Unbind(index);
   ctx_->metrics.Inc(id_terminates_);
   return Status::Ok();
 }
@@ -152,10 +149,8 @@ Result<Segno> KnownSegmentManager::SegnoOf(ProcessId pid, SegmentUid uid) const 
   if (it == ksts_.end()) {
     return Status(Code::kNotFound, "no KST");
   }
-  for (uint16_t i = 0; i < it->second.entries.size(); ++i) {
-    if (it->second.entries[i].valid && it->second.entries[i].home.uid == uid) {
-      return Segno(static_cast<uint16_t>(kSystemSegnoLimit + i));
-    }
+  if (const int bound = it->second.IndexOf(uid); bound >= 0) {
+    return Segno(static_cast<uint16_t>(kSystemSegnoLimit + bound));
   }
   return Status(Code::kNotFound, "segment not known to process");
 }
@@ -208,11 +203,47 @@ Status KnownSegmentManager::HandleMissingPage(ProcessId pid, Segno segno, uint32
 void KnownSegmentManager::RelocateUid(SegmentUid uid, PackId pack, VtocIndex vtoc) {
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
   for (auto& [pid, kst] : ksts_) {
-    for (KstEntry& entry : kst.entries) {
-      if (entry.valid && entry.home.uid == uid) {
-        entry.home.pack = pack;
-        entry.home.vtoc = vtoc;
+    if (const int bound = kst.IndexOf(uid); bound >= 0) {
+      kst.entries[bound].home.pack = pack;
+      kst.entries[bound].home.vtoc = vtoc;
+    }
+  }
+}
+
+void KnownSegmentManager::AuditIntegrity(std::vector<std::string>* findings) const {
+  for (const auto& [pid, kst] : ksts_) {
+    const std::string who = "KST of process " + std::to_string(pid.value) + ": ";
+    for (const auto& [uid, index] : kst.by_uid) {
+      if (index >= kst.entries.size() || !kst.entries[index].valid) {
+        findings->push_back(who + "uid " + std::to_string(uid.value) + " indexes invalid entry " +
+                            std::to_string(index));
+      } else if (kst.entries[index].home.uid != uid) {
+        findings->push_back(who + "uid " + std::to_string(uid.value) + " indexes entry " +
+                            std::to_string(index) + " bound to uid " +
+                            std::to_string(kst.entries[index].home.uid.value));
       }
+    }
+    uint16_t live = 0;
+    size_t lowest_free = kst.entries.size();
+    for (uint16_t i = 0; i < kst.entries.size(); ++i) {
+      const KstEntry& entry = kst.entries[i];
+      if (!entry.valid) {
+        lowest_free = std::min<size_t>(lowest_free, i);
+        continue;
+      }
+      ++live;
+      if (kst.IndexOf(entry.home.uid) != i) {
+        findings->push_back(who + "entry " + std::to_string(i) + " (uid " +
+                            std::to_string(entry.home.uid.value) + ") is missing from the index");
+      }
+    }
+    if (live != kst.live) {
+      findings->push_back(who + "live count " + std::to_string(kst.live) + " but " +
+                          std::to_string(live) + " valid entries");
+    }
+    if (kst.free_hint > lowest_free) {
+      findings->push_back(who + "free hint " + std::to_string(kst.free_hint) +
+                          " lies above the lowest free slot " + std::to_string(lowest_free));
     }
   }
 }
@@ -252,6 +283,39 @@ Status KnownSegmentManager::HandleQuotaException(ProcessId pid, Segno segno, uin
     signal->new_vtoc = new_home.vtoc;
   }
   return Status::Ok();
+}
+
+size_t KnownSegmentManager::Kst::Position(SegmentUid uid) const {
+  return static_cast<size_t>(
+      std::lower_bound(by_uid.begin(), by_uid.end(), uid,
+                       [](const auto& pair, SegmentUid u) { return pair.first < u; }) -
+      by_uid.begin());
+}
+
+int KnownSegmentManager::Kst::IndexOf(SegmentUid uid) const {
+  const size_t pos = Position(uid);
+  return pos < by_uid.size() && by_uid[pos].first == uid ? by_uid[pos].second : -1;
+}
+
+void KnownSegmentManager::Kst::Bind(uint16_t index, const KstEntry& entry) {
+  entries[index] = entry;
+  by_uid.insert(by_uid.begin() + static_cast<ptrdiff_t>(Position(entry.home.uid)),
+                {entry.home.uid, index});
+  ++live;
+  if (index == free_hint) {
+    ++free_hint;
+  }
+}
+
+void KnownSegmentManager::Kst::Unbind(uint16_t index) {
+  const SegmentUid uid = entries[index].home.uid;
+  const size_t pos = Position(uid);
+  if (pos < by_uid.size() && by_uid[pos] == std::pair{uid, index}) {
+    by_uid.erase(by_uid.begin() + static_cast<ptrdiff_t>(pos));
+  }
+  entries[index] = KstEntry{};
+  --live;
+  free_hint = std::min(free_hint, index);
 }
 
 }  // namespace mks

@@ -17,7 +17,9 @@
 #ifndef MKS_KERNEL_KNOWN_SEGMENT_H_
 #define MKS_KERNEL_KNOWN_SEGMENT_H_
 
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/address_space.h"
@@ -87,6 +89,12 @@ class KnownSegmentManager {
   // Finds the segno a process has bound to `uid`, if any.
   Result<Segno> SegnoOf(ProcessId pid, SegmentUid uid) const;
 
+  // Cross-checks every KST's index against its entries: each uid -> index
+  // pair names a valid entry with that uid, every valid entry is indexed,
+  // the live count matches, and the free hint is at or below the lowest
+  // free slot.  Appends one line per inconsistency.
+  void AuditIntegrity(std::vector<std::string>* findings) const;
+
   // After a relocation, rewrites every process's KST binding for `uid` to
   // the new home — the write side of the KST surface.  Public so the
   // relocation chain (and tests) can drive it against concurrent Lookups;
@@ -111,8 +119,24 @@ class KnownSegmentManager {
                               WaitSpec* wait);
 
  private:
+  // One process's table.  Beside the entries it keeps an index so that no
+  // operation scans the table: `by_uid` maps each bound uid to its entry
+  // (sorted by uid; a process knows few segments), `live` counts valid
+  // entries, and every slot below `free_hint` is valid, so the lowest free
+  // slot — the segno Initiate must hand out, since segnos feed SDW indices
+  // and associative-memory hashing — is found by scanning up from the hint.
   struct Kst {
     std::vector<KstEntry> entries;  // indexed by segno - kSystemSegnoLimit
+    std::vector<std::pair<SegmentUid, uint16_t>> by_uid;
+    uint16_t live = 0;
+    uint16_t free_hint = 0;
+
+    // Where `uid` is, or would be inserted, in by_uid.
+    size_t Position(SegmentUid uid) const;
+    // The entry index bound to `uid`, or -1.
+    int IndexOf(SegmentUid uid) const;
+    void Bind(uint16_t index, const KstEntry& entry);
+    void Unbind(uint16_t index);
   };
 
   KstEntry* Find(ProcessId pid, Segno segno);

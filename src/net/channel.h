@@ -7,8 +7,10 @@
 #ifndef MKS_NET_CHANNEL_H_
 #define MKS_NET_CHANNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,11 +21,53 @@
 
 namespace mks {
 
+// A frame's words.  Up to kInlineWords live inside the frame itself, so the
+// frames the front end and the traffic generator build (at most 8 words)
+// never touch the heap; a longer payload moves wholesale into `spill_`.
+// Vector-like for the callers: push_back, iteration, size, ==.
+class FramePayload {
+ public:
+  static constexpr size_t kInlineWords = 8;
+  using value_type = Word;
+  using iterator = const Word*;
+  using const_iterator = const Word*;
+
+  FramePayload() = default;
+  FramePayload(std::initializer_list<Word> words) {
+    for (Word w : words) {
+      push_back(w);
+    }
+  }
+
+  void push_back(Word w) {
+    if (spill_.empty() && inline_size_ < kInlineWords) {
+      inline_[inline_size_++] = w;
+      return;
+    }
+    if (spill_.empty()) {
+      spill_.assign(inline_, inline_ + kInlineWords);
+    }
+    spill_.push_back(w);
+  }
+  size_t size() const { return spill_.empty() ? inline_size_ : spill_.size(); }
+  const Word* begin() const { return spill_.empty() ? inline_ : spill_.data(); }
+  const Word* end() const { return begin() + size(); }
+
+  friend bool operator==(const FramePayload& a, const FramePayload& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  Word inline_[kInlineWords] = {};
+  uint8_t inline_size_ = 0;  // words in inline_ while nothing has spilled
+  std::vector<Word> spill_;  // every word, once there are more than kInlineWords
+};
+
 struct Frame {
   SubchannelId subchannel{};
   uint16_t type = 0;  // protocol-specific: data / ack / control
   uint32_t seq = 0;
-  std::vector<Word> payload;
+  FramePayload payload;
 };
 
 // Frame types shared by the toy protocols.

@@ -10,8 +10,6 @@
 #ifndef MKS_NET_DEMUX_H_
 #define MKS_NET_DEMUX_H_
 
-#include <map>
-
 #include "src/net/kernel_stack.h"
 
 namespace mks {
@@ -26,7 +24,7 @@ class GenericDemux {
         id_demux_frames_(metrics->Intern("net.demux_frames")),
         queue_capacity_(queue_capacity) {}
 
-  void AttachChannel(MultiplexedChannel* channel) { channels_.push_back(channel); }
+  void AttachChannel(MultiplexedChannel* channel);
 
   // Routes every pending frame to its subchannel queue.  Returns frames
   // routed; overflowing queues count drops (backpressure is the user
@@ -38,15 +36,42 @@ class GenericDemux {
 
   uint64_t dropped() const { return dropped_; }
   size_t attached_networks() const { return channels_.size(); }
+  // Frame slots allocated across every ring: host memory, not a model figure.
+  size_t ring_slots() const;
 
  private:
+  // One subchannel's bounded queue: a ring with one producer (Pump) and one
+  // consumer (ReadSubchannel), as in a shared-memory driver framework's
+  // per-client queues.  The storage doubles to the occupancy the ring has
+  // seen, so an idle subchannel holds no frames and a busy one at most
+  // queue_capacity rounded up to a power of two.
+  class Ring {
+   public:
+    size_t size() const { return tail_ - head_; }
+    size_t slots() const { return slots_.size(); }
+    void Push(Frame&& frame);
+    std::optional<Frame> Pop();
+
+   private:
+    std::vector<Frame> slots_;  // power-of-two size
+    uint32_t head_ = 0;         // free-running; slot = counter & (size - 1)
+    uint32_t tail_ = 0;
+  };
+  // The rings of one channel id, indexed by subchannel number.
+  struct Lane {
+    ChannelId channel{};
+    std::vector<Ring> rings;
+  };
+
+  Lane* FindLane(ChannelId channel);
+
   CostModel* cost_;
   Metrics* metrics_;
   MetricId id_demux_drops_;
   MetricId id_demux_frames_;
   size_t queue_capacity_;
   std::vector<MultiplexedChannel*> channels_;
-  std::map<std::pair<uint16_t, uint16_t>, std::deque<Frame>> queues_;
+  std::vector<Lane> lanes_;
   uint64_t dropped_ = 0;
 };
 
@@ -76,7 +101,7 @@ class NcpProtocolUser {
   MetricId id_user_frames_;
   GenericDemux* demux_;
   ChannelId channel_;
-  std::map<SubchannelId, NcpConnection> connections_;
+  std::vector<NcpConnection> connections_;  // indexed by subchannel
   std::deque<Frame> acks_;
 };
 
@@ -98,7 +123,7 @@ class TerminalProtocolUser {
   MetricId id_user_frames_;
   GenericDemux* demux_;
   ChannelId channel_;
-  std::map<SubchannelId, TerminalLine> lines_;
+  std::vector<TerminalLine> lines_;  // indexed by subchannel
 };
 
 }  // namespace mks

@@ -14,7 +14,6 @@ Frame TrafficGenerator::NextFrame() {
     frame.type = frame_type::kData;
     frame.seq = next_seq_[frame.subchannel.value]++;
     const uint32_t words = static_cast<uint32_t>(1 + rng_.NextBelow(8));
-    frame.payload.reserve(words);
     for (uint32_t i = 0; i < words; ++i) {
       frame.payload.push_back(rng_.Next() & 0x7f7f7f7fULL);
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/aim/monitor.h"
+#include "tests/kernel_fixture.h"
 
 namespace mks {
 namespace {
@@ -159,16 +160,62 @@ TEST(AuditLog, RecordsAndCountsDenials) {
   }
   EXPECT_EQ(fx.monitor.audit_log().denial_count(), 3u);
   EXPECT_EQ(fx.monitor.audit_log().total_count(), 3u);
-  EXPECT_EQ(fx.monitor.audit_log().records().back().subject, "Mallory.P");
+  const AuditLog& log = fx.monitor.audit_log();
+  EXPECT_EQ(log.at(log.size() - 1).subject, "Mallory.P");
 }
 
 TEST(AuditLog, BoundedCapacity) {
   AuditLog log(4);
   for (int i = 0; i < 10; ++i) {
-    log.Append(AuditRecord{0, "s", "op", "t", Code::kOk});
+    log.Append(0, {"s"}, "op", {"t"}, Code::kOk);
   }
-  EXPECT_EQ(log.records().size(), 4u);
+  EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.total_count(), 10u);
+}
+
+TEST(AuditLog, RingReadsTheLastCapacityRecordsOldestFirst) {
+  AuditLog log(4);
+  for (int i = 0; i < 10; ++i) {
+    log.Append(static_cast<Cycles>(i), {"s", std::to_string(i)}, "op", {"t"},
+               i % 3 == 0 ? Code::kNoAccess : Code::kOk);
+  }
+  ASSERT_EQ(log.size(), 4u);
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(log.at(k).time, 6u + k);
+    EXPECT_EQ(log.at(k).subject, "s" + std::to_string(6 + k));
+  }
+  EXPECT_EQ(log.total_count(), 10u);
+  EXPECT_EQ(log.denial_count(), 4u);  // i = 0, 3, 6, 9
+}
+
+TEST(AuditLog, LongTargetsComeBackWhole) {
+  AuditLog log(2);
+  const std::string dir(70, 'd');
+  const std::string name(60, 'n');
+  log.Append(1, {"p", ".", "q"}, "search", {dir, ">", name}, Code::kOk);
+  log.Append(2, {"p"}, "op", {"short"}, Code::kOk);
+  log.Append(3, {"p"}, "op", {"x"}, Code::kOk);  // overwrites the long record's slot
+  log.Append(4, {"p"}, "search", {dir, ">", name}, Code::kOk);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.at(1).target, dir + ">" + name);
+  EXPECT_EQ(log.at(1).target.size(), 131u);
+  EXPECT_EQ(log.at(0).target, "x");
+}
+
+TEST(AuditLog, SearchRecordsReadDirGreaterThanName) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  fx.MustCreate(">udd>notes");
+  KernelGates& gates = fx.kernel.gates();
+  auto udd = gates.Search(*fx.ctx, gates.RootId(), "udd");
+  ASSERT_TRUE(udd.ok());
+  ASSERT_TRUE(gates.Search(*fx.ctx, *udd, "notes").ok());
+  const AuditLog& log = fx.kernel.ctx().monitor.audit_log();
+  const AuditRecord& last = log.at(log.size() - 1);
+  EXPECT_EQ(last.operation, "search");
+  EXPECT_EQ(last.target, "udd>notes");
+  EXPECT_EQ(last.subject, "Jones.Projx");
+  EXPECT_EQ(last.outcome, Code::kOk);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // only what it costs.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/common/rng.h"
 #include "src/hw/machine.h"
 #include "tests/kernel_fixture.h"
@@ -84,6 +86,204 @@ TEST(AssocMemory, InvalidatePtwAndPageTable) {
   EXPECT_NE(assoc.Lookup(AssociativeMemory::MakeKey(2, 0)), nullptr);
   assoc.Flush();
   EXPECT_EQ(assoc.Lookup(AssociativeMemory::MakeKey(2, 0)), nullptr);
+}
+
+// A brute-force reference for the cache: the same geometry (sets of kWays,
+// the same set hash), each set a plain array scanned in full on every
+// operation.  Insert fills the first invalid way, else the least recently
+// used one.  It keeps its own per-PTW presence counts.
+class ReferenceAssoc {
+ public:
+  struct Way {
+    bool valid = false;
+    uint64_t key = 0;
+    Ptw* ptw = nullptr;
+    bool read = false;
+    uint8_t ring_bracket = 0;
+    uint64_t stamp = 0;
+  };
+
+  explicit ReferenceAssoc(uint16_t entries) {
+    if (entries == 0) {
+      return;
+    }
+    size_t sets = 1;
+    size_t ways = entries;
+    if (entries >= AssociativeMemory::kWays) {
+      while (sets * 2 * AssociativeMemory::kWays <= entries) {
+        sets *= 2;
+      }
+      ways = AssociativeMemory::kWays;
+    }
+    sets_.assign(sets, std::vector<Way>(ways));
+  }
+
+  Way* Lookup(uint64_t key) {
+    for (Way& w : Set(key)) {
+      if (w.valid && w.key == key) {
+        w.stamp = ++stamp_;
+        return &w;
+      }
+    }
+    return nullptr;
+  }
+  // Called only after a Lookup miss, as Processor::Access does.
+  void Insert(uint64_t key, Ptw* ptw, bool read, uint8_t ring_bracket) {
+    if (sets_.empty()) {
+      return;
+    }
+    std::vector<Way>& set = Set(key);
+    Way* victim = nullptr;
+    for (Way& w : set) {
+      if (!w.valid) {
+        victim = &w;
+        break;
+      }
+      if (victim == nullptr || w.stamp < victim->stamp) {
+        victim = &w;
+      }
+    }
+    if (victim->valid) {
+      --refs_[victim->ptw];
+    }
+    ++refs_[ptw];
+    *victim = Way{true, key, ptw, read, ring_bracket, ++stamp_};
+  }
+  template <typename Pred>
+  uint32_t DropIf(Pred pred) {
+    uint32_t dropped = 0;
+    for (std::vector<Way>& set : sets_) {
+      for (Way& w : set) {
+        if (w.valid && pred(w)) {
+          w.valid = false;
+          --refs_[w.ptw];
+          ++dropped;
+        }
+      }
+    }
+    return dropped;
+  }
+  void Drop(Way* w) {
+    w->valid = false;
+    --refs_[w->ptw];
+  }
+  bool Holds(uint32_t tag) const {
+    for (const std::vector<Way>& set : sets_) {
+      for (const Way& w : set) {
+        if (w.valid && (w.key >> 32) == tag) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+  uint16_t Refs(const Ptw* ptw) const {
+    auto it = refs_.find(ptw);
+    return it == refs_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::vector<Way>& Set(uint64_t key) {
+    static std::vector<Way> none;
+    if (sets_.empty()) {
+      return none;
+    }
+    const uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+    return sets_[(h >> 32) & (sets_.size() - 1)];
+  }
+
+  std::vector<std::vector<Way>> sets_;
+  std::map<const Ptw*, uint16_t> refs_;
+  uint64_t stamp_ = 0;
+};
+
+// Seeded random operation sequences against the reference: every return
+// value, every lookup result and every PTW presence count must agree, and
+// the tag summary must never deny a tag the cache holds.  The tags collide
+// mod 64, so the summary's bits are shared and an InvalidateTag for an
+// absent tag still has to scan and find nothing.
+TEST(AssocMemoryProperty, MatchesTheReferenceScanUnderRandomOperations) {
+  const std::vector<uint32_t> tags{1, 65, 129, 2, 66, 7, 71, 200};
+  for (uint16_t capacity : {0, 3, 16, 64}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " + std::to_string(seed));
+      AssociativeMemory assoc(capacity);
+      ReferenceAssoc ref(capacity);
+      std::vector<PageTable> tables(3);
+      for (PageTable& pt : tables) {
+        pt.ptws.assign(6, Ptw{});
+      }
+      Rng rng(seed);
+      auto random_ptw = [&]() -> Ptw* {
+        return &tables[rng.NextBelow(tables.size())].ptws[rng.NextBelow(6)];
+      };
+      auto random_key = [&]() {
+        return AssociativeMemory::MakeKey(tags[rng.NextBelow(tags.size())],
+                                          static_cast<uint32_t>(rng.NextBelow(6)));
+      };
+      for (int step = 0; step < 3000; ++step) {
+        const uint64_t op = rng.NextBelow(100);
+        if (op < 45) {
+          // A translation: look up, insert on a miss.
+          const uint64_t key = random_key();
+          AssociativeMemory::Entry* got = assoc.Lookup(key);
+          ReferenceAssoc::Way* want = ref.Lookup(key);
+          ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+          if (got != nullptr) {
+            EXPECT_EQ(got->ptw, want->ptw) << "step " << step;
+            EXPECT_EQ(got->read, want->read) << "step " << step;
+            EXPECT_EQ(got->ring_bracket, want->ring_bracket) << "step " << step;
+          } else {
+            Ptw* ptw = random_ptw();
+            const bool read = rng.NextBelow(2) == 0;
+            const uint8_t ring = static_cast<uint8_t>(rng.NextBelow(8));
+            assoc.Insert(key, ptw, read, true, false, ring);
+            ref.Insert(key, ptw, read, ring);
+          }
+        } else if (op < 55) {
+          const uint64_t key = random_key();
+          AssociativeMemory::Entry* got = assoc.Lookup(key);
+          ReferenceAssoc::Way* want = ref.Lookup(key);
+          ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+          if (got != nullptr) {
+            assoc.InvalidateEntry(got);
+            ref.Drop(want);
+          }
+        } else if (op < 75) {
+          const uint32_t tag = tags[rng.NextBelow(tags.size())];
+          const uint32_t want = ref.DropIf(
+              [tag](const ReferenceAssoc::Way& w) { return (w.key >> 32) == tag; });
+          EXPECT_EQ(assoc.InvalidateTag(tag), want) << "step " << step;
+        } else if (op < 88) {
+          const Ptw* ptw = random_ptw();
+          const uint32_t want =
+              ref.DropIf([ptw](const ReferenceAssoc::Way& w) { return w.ptw == ptw; });
+          EXPECT_EQ(assoc.InvalidatePtw(ptw), want) << "step " << step;
+        } else if (op < 97) {
+          const PageTable* pt = &tables[rng.NextBelow(tables.size())];
+          const Ptw* first = pt->ptws.data();
+          const Ptw* last = first + pt->ptws.size();
+          const uint32_t want = ref.DropIf([first, last](const ReferenceAssoc::Way& w) {
+            return w.ptw >= first && w.ptw < last;
+          });
+          EXPECT_EQ(assoc.InvalidatePageTable(pt), want) << "step " << step;
+        } else {
+          ref.DropIf([](const ReferenceAssoc::Way&) { return true; });
+          assoc.Flush();
+        }
+        for (const PageTable& pt : tables) {
+          for (const Ptw& ptw : pt.ptws) {
+            ASSERT_EQ(ptw.assoc_refs, ref.Refs(&ptw)) << "step " << step;
+          }
+        }
+        for (uint32_t tag : tags) {
+          if (ref.Holds(tag)) {
+            ASSERT_TRUE(assoc.MayHoldTag(tag)) << "tag " << tag << " step " << step;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

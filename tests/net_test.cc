@@ -14,7 +14,7 @@ struct NetFixture {
   Metrics metrics;
 };
 
-Frame DataFrame(uint16_t sub, uint32_t seq, std::vector<Word> payload) {
+Frame DataFrame(uint16_t sub, uint32_t seq, FramePayload payload) {
   Frame f;
   f.subchannel = SubchannelId(sub);
   f.type = frame_type::kData;
@@ -170,6 +170,145 @@ TEST(Net, BothConfigurationsDeliverTheSamePayloads) {
       EXPECT_EQ(from_kernel->payload, from_user->payload);
     }
   }
+}
+
+// The demux rings: per-subchannel FIFO order, the drop at exactly
+// queue_capacity, channel separation, wraparound, spilled payloads, and
+// reads of empty subchannels.
+
+TEST(NetDemuxRing, EachSubchannelIsFifo) {
+  NetFixture fx;
+  MultiplexedChannel wire(ChannelId(0), "arpanet");
+  GenericDemux demux(&fx.cost, &fx.metrics);
+  demux.AttachChannel(&wire);
+  for (uint32_t i = 0; i < 6; ++i) {
+    wire.Inject(DataFrame(static_cast<uint16_t>(i % 2), i, {i}));
+  }
+  EXPECT_EQ(demux.Pump(), 6u);
+  for (uint16_t sub = 0; sub < 2; ++sub) {
+    for (uint32_t i = sub; i < 6; i += 2) {
+      auto f = demux.ReadSubchannel(ChannelId(0), SubchannelId(sub));
+      ASSERT_TRUE(f.has_value());
+      EXPECT_EQ(f->seq, i);
+      EXPECT_EQ(f->payload, FramePayload({i}));
+    }
+    EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(sub)).has_value());
+  }
+}
+
+TEST(NetDemuxRing, DropsExactlyAtQueueCapacity) {
+  NetFixture fx;
+  MultiplexedChannel wire(ChannelId(0), "arpanet");
+  GenericDemux demux(&fx.cost, &fx.metrics, /*queue_capacity=*/5);
+  demux.AttachChannel(&wire);
+  for (uint32_t i = 0; i < 5; ++i) {
+    wire.Inject(DataFrame(1, i, {i}));
+  }
+  EXPECT_EQ(demux.Pump(), 5u);
+  EXPECT_EQ(demux.dropped(), 0u);
+  wire.Inject(DataFrame(1, 5, {5}));
+  EXPECT_EQ(demux.Pump(), 0u);
+  EXPECT_EQ(demux.dropped(), 1u);
+  EXPECT_EQ(fx.metrics.Get("net.demux_drops"), 1u);
+  EXPECT_EQ(fx.metrics.Get("net.demux_frames"), 5u);
+  // Reading one frame makes room for exactly one more.
+  ASSERT_TRUE(demux.ReadSubchannel(ChannelId(0), SubchannelId(1)).has_value());
+  wire.Inject(DataFrame(1, 6, {6}));
+  wire.Inject(DataFrame(1, 7, {7}));
+  EXPECT_EQ(demux.Pump(), 1u);
+  EXPECT_EQ(fx.metrics.Get("net.demux_drops"), 2u);
+}
+
+TEST(NetDemuxRing, SameSubchannelOnTwoChannelsStaysSeparate) {
+  NetFixture fx;
+  MultiplexedChannel a(ChannelId(0), "arpanet");
+  MultiplexedChannel b(ChannelId(3), "front_end");
+  GenericDemux demux(&fx.cost, &fx.metrics);
+  demux.AttachChannel(&a);
+  demux.AttachChannel(&b);
+  a.Inject(DataFrame(4, 0, {10}));
+  b.Inject(DataFrame(4, 0, {20}));
+  b.Inject(DataFrame(4, 1, {21}));
+  EXPECT_EQ(demux.Pump(), 3u);
+  auto from_a = demux.ReadSubchannel(ChannelId(0), SubchannelId(4));
+  ASSERT_TRUE(from_a.has_value());
+  EXPECT_EQ(from_a->payload, FramePayload({10}));
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(4)).has_value());
+  for (Word w : {Word{20}, Word{21}}) {
+    auto from_b = demux.ReadSubchannel(ChannelId(3), SubchannelId(4));
+    ASSERT_TRUE(from_b.has_value());
+    EXPECT_EQ(from_b->payload, FramePayload({w}));
+  }
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(3), SubchannelId(4)).has_value());
+}
+
+TEST(NetDemuxRing, WrapsPastQueueCapacityInTotal) {
+  NetFixture fx;
+  MultiplexedChannel wire(ChannelId(0), "arpanet");
+  GenericDemux demux(&fx.cost, &fx.metrics, /*queue_capacity=*/4);
+  demux.AttachChannel(&wire);
+  // Bursts of 3 into a ring of capacity 4, drained between bursts: 30
+  // frames in order through one ring, none dropped.
+  uint32_t next_read = 0;
+  for (uint32_t i = 0; i < 30; ++i) {
+    wire.Inject(DataFrame(2, i, {i, i + 1}));
+    if (i % 3 == 2) {
+      EXPECT_EQ(demux.Pump(), 3u);
+      while (auto f = demux.ReadSubchannel(ChannelId(0), SubchannelId(2))) {
+        EXPECT_EQ(f->seq, next_read);
+        EXPECT_EQ(f->payload, FramePayload({next_read, next_read + 1}));
+        ++next_read;
+      }
+    }
+  }
+  EXPECT_EQ(next_read, 30u);
+  EXPECT_EQ(demux.dropped(), 0u);
+  EXPECT_LE(demux.ring_slots(), 4u);
+}
+
+TEST(NetDemuxRing, LongPayloadRoundTrips) {
+  NetFixture fx;
+  MultiplexedChannel fep(ChannelId(1), "front_end");
+  GenericDemux demux(&fx.cost, &fx.metrics);
+  demux.AttachChannel(&fep);
+  TerminalProtocolUser terminal(&fx.cost, &fx.metrics, &demux, ChannelId(1));
+  const std::string text = "print notes.txt -line_length 80 -no_header";
+  ASSERT_EQ(text.size(), 42u);
+  Frame f;
+  f.subchannel = SubchannelId(9);
+  for (char c : text + "\n") {
+    f.payload.push_back(static_cast<Word>(c));
+  }
+  ASSERT_GT(f.payload.size(), FramePayload::kInlineWords);
+  const FramePayload sent = f.payload;
+  fep.Inject(std::move(f));
+  demux.Pump();
+  auto routed = demux.ReadSubchannel(ChannelId(1), SubchannelId(9));
+  ASSERT_TRUE(routed.has_value());
+  EXPECT_EQ(routed->payload, sent);
+  fep.Inject(*routed);
+  demux.Pump();
+  EXPECT_EQ(terminal.PumpLine(SubchannelId(9)), 1u);
+  auto line = terminal.ReadLine(SubchannelId(9));
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(*line, text);
+}
+
+TEST(NetDemuxRing, EmptyAndUnseenSubchannelsReadNothingAndAllocateNoRing) {
+  NetFixture fx;
+  MultiplexedChannel wire(ChannelId(0), "arpanet");
+  GenericDemux demux(&fx.cost, &fx.metrics);
+  demux.AttachChannel(&wire);
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(200)).has_value());
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(7), SubchannelId(0)).has_value());
+  EXPECT_EQ(demux.ring_slots(), 0u);
+  wire.Inject(DataFrame(5, 0, {1}));
+  demux.Pump();
+  ASSERT_TRUE(demux.ReadSubchannel(ChannelId(0), SubchannelId(5)).has_value());
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(5)).has_value());
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(4)).has_value());
+  EXPECT_FALSE(demux.ReadSubchannel(ChannelId(0), SubchannelId(6)).has_value());
+  EXPECT_EQ(demux.ring_slots(), 1u);
 }
 
 }  // namespace

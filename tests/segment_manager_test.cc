@@ -1,8 +1,12 @@
 // Direct tests of the segment manager: activation, the UNCONSTRAINED
 // deactivation rule (the contrast with the baseline's hierarchy-shape
-// constraint), LRU replacement, and relocation plumbing.
+// constraint), LRU replacement, and relocation plumbing; and of the known
+// segment table's uid index against a brute-force model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.h"
 #include "tests/kernel_fixture.h"
 
 namespace mks {
@@ -163,6 +167,107 @@ TEST(Gates, OutOfBoundsBeyondMaxLength) {
   // The last addressable word is fine (and grows the final page).
   EXPECT_TRUE(
       fx.kernel.gates().Write(*fx.ctx, segno, kMaxSegmentPages * kPageWords - 1, 1).ok());
+}
+
+// The KST's uid index, live count and free hint against a brute-force model
+// of two tables: Initiate must hand out exactly the lowest free slot (segnos
+// feed SDW indices and associative-memory hashing), re-initiation must find
+// the existing binding, and after every step the integrity audit, which
+// cross-checks the index against the entries, must stay clean.  The uid pool
+// is twice the table size and occasional bursts fill a table, so Initiate
+// also reports exhaustion.
+TEST(KstIndex, SegnosFollowTheLowestFreeModelAndTheAuditStaysClean) {
+  KernelFixture fx;
+  ASSERT_TRUE(fx.boot_status.ok());
+  KnownSegmentManager& ksm = fx.kernel.known_segments();
+  const std::vector<ProcessId> pids{ProcessId(900), ProcessId(901)};
+  for (ProcessId pid : pids) {
+    ASSERT_TRUE(ksm.CreateKst(pid).ok());
+  }
+  const size_t slots = fx.kernel.address_spaces().Space(pids[0])->sdws.size();
+  ASSERT_GT(slots, 8u);
+  // model[p][i]: the uid bound at slot i of process p's table, 0 when free.
+  std::vector<std::vector<uint64_t>> model(pids.size(), std::vector<uint64_t>(slots, 0));
+  auto segno_at = [](size_t i) { return Segno(static_cast<uint16_t>(kSystemSegnoLimit + i)); };
+  Rng rng(17);
+  int exhausted = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const size_t p = rng.NextBelow(pids.size());
+    std::vector<uint64_t>& m = model[p];
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 60) {
+      // Mostly one initiation; now and then a burst long enough to fill the
+      // table.
+      const size_t burst = rng.NextBelow(40) == 0 ? 3 * slots : 1;
+      for (size_t b = 0; b < burst; ++b) {
+        const SegmentUid uid(1 + rng.NextBelow(2 * slots));
+        const SegmentHome home{uid, PackId(0), VtocIndex(static_cast<uint32_t>(uid.value)),
+                               kNoQuotaCell, false};
+        auto got = ksm.Initiate(pids[p], home, AccessModes::RW(), 4);
+        const auto bound = std::find(m.begin(), m.end(), uid.value);
+        const auto free = std::find(m.begin(), m.end(), uint64_t{0});
+        if (bound != m.end()) {
+          ASSERT_TRUE(got.ok()) << "step " << step;
+          EXPECT_EQ(*got, segno_at(static_cast<size_t>(bound - m.begin()))) << "step " << step;
+        } else if (free == m.end()) {
+          EXPECT_EQ(got.status().code(), Code::kResourceExhausted) << "step " << step;
+          ++exhausted;
+        } else {
+          ASSERT_TRUE(got.ok()) << "step " << step;
+          EXPECT_EQ(*got, segno_at(static_cast<size_t>(free - m.begin()))) << "step " << step;
+          *free = uid.value;
+        }
+      }
+    } else if (roll < 90) {
+      const size_t i = rng.NextBelow(slots);
+      EXPECT_EQ(ksm.Terminate(pids[p], segno_at(i)).ok(), m[i] != 0) << "step " << step;
+      m[i] = 0;
+    } else if (roll < 93) {
+      // The slab reset keeps the state segment's binding; a plain reset
+      // passes a segno no user binding can have.
+      const bool keep = rng.NextBelow(2) == 0;
+      const size_t keep_slot = rng.NextBelow(slots);
+      ASSERT_TRUE(ksm.ResetKst(pids[p], keep ? segno_at(keep_slot) : Segno(0)).ok());
+      for (size_t i = 0; i < slots; ++i) {
+        if (!keep || i != keep_slot) {
+          m[i] = 0;
+        }
+      }
+    } else {
+      // The full-pack path's rewrite of every binding of one uid.
+      const SegmentUid uid(1 + rng.NextBelow(2 * slots));
+      const PackId pack(static_cast<uint16_t>(1 + rng.NextBelow(3)));
+      const VtocIndex vtoc(static_cast<uint32_t>(rng.NextBelow(1000)));
+      ksm.RelocateUid(uid, pack, vtoc);
+      for (size_t q = 0; q < pids.size(); ++q) {
+        const auto at = std::find(model[q].begin(), model[q].end(), uid.value);
+        if (at == model[q].end()) {
+          EXPECT_FALSE(ksm.SegnoOf(pids[q], uid).ok());
+          continue;
+        }
+        const KstEntry* entry =
+            ksm.Lookup(pids[q], segno_at(static_cast<size_t>(at - model[q].begin())));
+        ASSERT_NE(entry, nullptr);
+        EXPECT_EQ(entry->home.pack, pack);
+        EXPECT_EQ(entry->home.vtoc, vtoc);
+      }
+    }
+    const std::vector<std::string> findings = fx.kernel.AuditIntegrity();
+    ASSERT_TRUE(findings.empty()) << "step " << step << ": " << findings.front();
+  }
+  EXPECT_GT(exhausted, 0);  // the sequence really fills the tables
+  for (size_t p = 0; p < pids.size(); ++p) {
+    for (size_t i = 0; i < slots; ++i) {
+      const KstEntry* entry = ksm.Lookup(pids[p], segno_at(i));
+      ASSERT_EQ(entry != nullptr, model[p][i] != 0) << "process " << p << " slot " << i;
+      if (entry != nullptr) {
+        EXPECT_EQ(entry->home.uid.value, model[p][i]);
+        auto segno = ksm.SegnoOf(pids[p], entry->home.uid);
+        ASSERT_TRUE(segno.ok());
+        EXPECT_EQ(*segno, segno_at(i));
+      }
+    }
+  }
 }
 
 }  // namespace
