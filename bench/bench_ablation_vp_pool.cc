@@ -54,7 +54,7 @@ PoolResult RunWithPool(uint16_t vp_count) {
     }
     (void)kernel.processes().SetProgram(*pid, std::move(program));
   }
-  (void)workload::AlignToClock(kernel);
+  (void)kernel.ctx().AlignToClock();
   const Cycles before = kernel.clock().now();
   (void)kernel.processes().RunUntilQuiescent(1000000);
   result.total_cycles = kernel.clock().now() - before;

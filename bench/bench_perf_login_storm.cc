@@ -223,7 +223,7 @@ StormResult RunStorm(StormMode mode, uint16_t cpus, int users, int churn, bool p
                   metrics.Get("answering.skel_misses")};
 
   // Boot, enrollment and warm-up stay outside the measured region.
-  const Cycles m0 = workload::AlignToClock(kernel);
+  const Cycles m0 = kernel.ctx().AlignToClock();
   const Cycles before = kernel.clock().now();
 
   // Phase 1: the storm front — every user logs in.

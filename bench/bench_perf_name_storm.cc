@@ -156,7 +156,7 @@ StormResult RunStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops, bool profil
   }
 
   // At 1 CPU the barrier makes exclusive spin structurally zero.
-  const Cycles m0 = workload::AlignToClock(kernel);
+  const Cycles m0 = kernel.ctx().AlignToClock();
   const Cycles before = kernel.clock().now();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();

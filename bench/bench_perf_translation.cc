@@ -64,7 +64,6 @@ struct Rig {
 
   static HwFeatures MakeFeatures(uint16_t entries) {
     HwFeatures f;  // no second DSBR: segno indexes the user space directly
-    f.associative_memory = true;
     f.associative_entries = entries;
     return f;
   }

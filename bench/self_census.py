@@ -22,6 +22,7 @@ CONFIG_STRUCTS = (
     ("BaselineConfig", "src/baseline/supervisor.h"),
     ("AnsweringConfig", "src/answering/service.h"),
     ("PagingPipeline", "src/kernel/page_frame.h"),
+    ("HwFeatures", "src/hw/machine.h"),
 )
 
 

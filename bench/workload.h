@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/answering/service.h"
@@ -301,44 +302,29 @@ inline Built Build(MonolithicSupervisor& sup, const Shape& shape) {
   return out;
 }
 
-// The barrier into a directly driven measured region: every local clock
-// aligned AND advanced to the global clock, so release points recorded by
-// unwindowed boot and setup never read as contention against the measured
-// windows.  Returns the makespan the region starts from.
-inline Cycles AlignToClock(Kernel& kernel) {
-  CpuInterleave& smp = kernel.ctx().smp;
-  smp.AlignAll();
-  if (kernel.clock().now() > smp.Makespan()) {
-    smp.AdvanceAll(kernel.clock().now() - smp.Makespan());
-  }
-  return smp.Makespan();
-}
-
-// One measured region: the pool aligned to the global clock at its start
-// (AlignToClock, so lock release points recorded by setup never read as
-// contention), then every process run to completion.  `total` is the
-// serialized work (global-clock delta), `makespan` the simulated-parallel
-// completion time.
+// One measured region on either supervisor: the pool aligned to the global
+// clock at its start (KernelContext::AlignToClock, so lock release points
+// recorded by setup never read as contention), then every process run to
+// completion.  `total` is the serialized work (global-clock delta),
+// `makespan` the simulated-parallel completion time.
 struct Region {
   Cycles total = 0;
   Cycles makespan = 0;
   bool ok = false;
 };
 
-inline Region Measure(Kernel& kernel, uint64_t max_passes) {
-  CpuInterleave& smp = kernel.ctx().smp;
-  const Cycles before = kernel.clock().now();
-  const Cycles m0 = AlignToClock(kernel);
-  const bool ok = kernel.processes().RunUntilQuiescent(max_passes).ok();
-  return Region{kernel.clock().now() - before, smp.Makespan() - m0, ok};
-}
-
-inline Region Measure(MonolithicSupervisor& sup, uint64_t max_passes) {
-  const Cycles before = sup.clock().now();
-  sup.AlignCpus();
-  const Cycles m0 = sup.Makespan();
-  const bool ok = sup.RunUntilQuiescent(max_passes).ok();
-  return Region{sup.clock().now() - before, sup.Makespan() - m0, ok};
+template <typename Supervisor>
+inline Region Measure(Supervisor& sup, uint64_t max_passes) {
+  KernelContext& ctx = sup.ctx();
+  const Cycles before = ctx.clock.now();
+  const Cycles m0 = ctx.AlignToClock();
+  bool ok = false;
+  if constexpr (std::is_same_v<Supervisor, Kernel>) {
+    ok = sup.processes().RunUntilQuiescent(max_passes).ok();
+  } else {
+    ok = sup.RunUntilQuiescent(max_passes).ok();
+  }
+  return Region{ctx.clock.now() - before, ctx.smp.Makespan() - m0, ok};
 }
 
 // Everything observable after a kernel run.

@@ -73,26 +73,14 @@ void AnsweringService::ChargeTableWork() const {
   }
 }
 
-AnsweringService::LockWindow AnsweringService::LockTable(SimSpinLock& lock) {
-  // Same accounting as every scheduler-lock site: acquire at the executing
-  // CPU's local virtual time and charge the wait through ChargeLockWait.
-  LockWindow window;
+SpinSection AnsweringService::Tenure(SessionTableMode mode, SimSpinLock& lock) {
   KernelContext& kctx = kernel_->ctx();
-  window.lnow = kctx.LocalNow();
-  window.spin = lock.Acquire(window.lnow, kctx.current_cpu);
-  if (window.spin > 0) {
-    ChargeLockWait(kctx.cost, &kctx.scopes, window.spin, lock.last_acquire_handoff());
-    kctx.metrics.Inc(id_table_spin_cycles_, window.spin);
+  SpinSection section(cfg_.table_mode == mode ? &lock : nullptr, kctx.current_cpu,
+                      kctx.LocalNow(), kctx.cost, &kctx.scopes);
+  if (section.spin() > 0) {
+    kctx.metrics.Inc(id_table_spin_cycles_, section.spin());
   }
-  window.locked = true;
-  return window;
-}
-
-void AnsweringService::UnlockTable(SimSpinLock& lock, const LockWindow& window, Cycles held) {
-  if (!window.locked) {
-    return;
-  }
-  lock.Release(window.lnow + window.spin + held);
+  return section;
 }
 
 AnsweringService::Shard& AnsweringService::ShardForPid(ProcessId pid) {
@@ -167,16 +155,8 @@ Result<ProcessId> AnsweringService::Login(const Principal& who, const std::strin
                                .on_end = true});
   // kCoarse is the minimal concurrency-safe table: ONE lock held across the
   // whole login transaction, every session serializing behind it.
-  LockWindow coarse{};
-  Cycles coarse_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kCoarse) {
-    coarse = LockTable(shards_[0]->lock);
-    coarse_t0 = kctx.clock.now();
-  }
+  const SpinSection coarse = Tenure(SessionTableMode::kCoarse, shards_[0]->lock);
   Result<ProcessId> result = LoginInner(who, password, label);
-  if (coarse.locked) {
-    UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
-  }
   if (result.ok()) {
     setup.set_span_proc((*result).value);
     setup.EndSpan();
@@ -227,11 +207,9 @@ Result<ProcessId> AnsweringService::LoginInner(const Principal& who, const std::
   session.home = *home;
   Shard& shard = ShardForPid(pid);
   if (cfg_.table_mode == SessionTableMode::kSharded) {
-    LockWindow window = LockTable(shard.lock);
-    const Cycles held0 = kctx.clock.now();
+    const SpinSection tenure = Tenure(SessionTableMode::kSharded, shard.lock);
     ChargeTableWork();
     shard.sessions.emplace(pid, session);
-    UnlockTable(shard.lock, window, kctx.clock.now() - held0);
   } else {
     if (cfg_.table_mode == SessionTableMode::kCoarse) {
       ChargeTableWork();
@@ -249,16 +227,8 @@ Status AnsweringService::Logout(ProcessId pid) {
   ManagerScope setup(&kctx.scopes, ProfDomain::kSessionSetup,
                      TraceSpan{.event = ev_logout_, .proc = pid.value, .arg = kctx.current_cpu,
                                .hist = hist_logout_, .on_end = true});
-  LockWindow coarse{};
-  Cycles coarse_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kCoarse) {
-    coarse = LockTable(shards_[0]->lock);
-    coarse_t0 = kctx.clock.now();
-  }
+  const SpinSection coarse = Tenure(SessionTableMode::kCoarse, shards_[0]->lock);
   Status result = LogoutInner(pid);
-  if (coarse.locked) {
-    UnlockTable(shards_[0]->lock, coarse, kctx.clock.now() - coarse_t0);
-  }
   if (result.ok()) {
     setup.EndSpan();
   }
@@ -271,25 +241,15 @@ Status AnsweringService::LogoutInner(ProcessId pid) {
   // Look up the session (modelled under the shard lock in sharded mode; the
   // iterator itself stays valid — virtual CPUs interleave, they do not
   // preempt host execution).
-  LockWindow lookup{};
-  Cycles lookup_t0 = 0;
-  if (cfg_.table_mode == SessionTableMode::kSharded) {
-    lookup = LockTable(shard.lock);
-    lookup_t0 = kctx.clock.now();
-  }
+  SpinSection lookup = Tenure(SessionTableMode::kSharded, shard.lock);
   auto it = shard.sessions.find(pid);
   if (it == shard.sessions.end()) {
-    if (lookup.locked) {
-      UnlockTable(shard.lock, lookup, kctx.clock.now() - lookup_t0);
-    }
     return Status(Code::kNotFound, "no session");
   }
   if (cfg_.table_mode != SessionTableMode::kSerial) {
     ChargeTableWork();
   }
-  if (lookup.locked) {
-    UnlockTable(shard.lock, lookup, kctx.clock.now() - lookup_t0);
-  }
+  lookup.Release();
   constexpr Cycles kCommonLogoutWork = 2000;
   kctx.cost.Charge(CodeStyle::kOptimized, kCommonLogoutWork);
   ChargeDialogStep(/*gate_calls=*/1);
@@ -298,19 +258,11 @@ Status AnsweringService::LogoutInner(ProcessId pid) {
   const ProcessStats& stats = kernel_->processes().stats(pid);
   Shard& bill_shard = ShardForWho(who);
   {
-    LockWindow window{};
-    Cycles held0 = 0;
-    if (cfg_.table_mode == SessionTableMode::kSharded) {
-      window = LockTable(bill_shard.lock);
-      held0 = kctx.clock.now();
-    }
+    const SpinSection tenure = Tenure(SessionTableMode::kSharded, bill_shard.lock);
     SessionBill& bill = bill_shard.totals[who];
     bill.cpu_cycles += stats.cpu_cycles;
     bill.ops += stats.ops_executed;
     bill.connect_time += kctx.clock.now() - it->second.login_time;
-    if (window.locked) {
-      UnlockTable(bill_shard.lock, window, kctx.clock.now() - held0);
-    }
   }
   const Cycles t_destroy = kctx.clock.now();
   kctx.metrics.Inc(id_phase_accounting_, t_destroy - t_bill);
@@ -318,17 +270,11 @@ Status AnsweringService::LogoutInner(ProcessId pid) {
   kctx.metrics.Inc(id_phase_process_, kctx.clock.now() - t_destroy);
   // Remove the session (its own tenure in sharded mode: lookup and removal
   // bracket the un-serializable middle of the transaction).
-  LockWindow erase_w{};
-  Cycles erase_t0 = 0;
+  const SpinSection erase = Tenure(SessionTableMode::kSharded, shard.lock);
   if (cfg_.table_mode == SessionTableMode::kSharded) {
-    erase_w = LockTable(shard.lock);
-    erase_t0 = kctx.clock.now();
     ChargeTableWork();
   }
   shard.sessions.erase(it);
-  if (erase_w.locked) {
-    UnlockTable(shard.lock, erase_w, kctx.clock.now() - erase_t0);
-  }
   --active_;
   kctx.metrics.Inc(id_logouts_);
   return Status::Ok();

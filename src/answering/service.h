@@ -108,17 +108,10 @@ class AnsweringService {
     std::map<std::string, SessionBill> totals;
   };
 
-  // One virtual-time lock tenure over a shard's lock: acquired at the
-  // executing CPU's local time (spin charged and attributed, TouchReadyList
-  // style), released at acquire + spin + the work charged while held.
-  // kSerial mode never locks and never charges.
-  struct LockWindow {
-    Cycles lnow = 0;
-    Cycles spin = 0;
-    bool locked = false;
-  };
-  LockWindow LockTable(SimSpinLock& lock);
-  void UnlockTable(SimSpinLock& lock, const LockWindow& window, Cycles held);
+  // One tenure of a shard's lock when the table runs in `mode`, taken at the
+  // executing CPU's local time; its wait is counted as table spin.  In any
+  // other mode it is no tenure and charges nothing.
+  SpinSection Tenure(SessionTableMode mode, SimSpinLock& lock);
 
   Shard& ShardForPid(ProcessId pid);
   Shard& ShardForWho(const std::string& who);

@@ -205,7 +205,7 @@ Processor::Processor(HwFeatures features, CostModel* cost, Metrics* metrics)
     : features_(features),
       cost_(cost),
       metrics_(metrics),
-      assoc_(features.associative_memory ? features.associative_entries : 0),
+      assoc_(features.associative_entries),
       id_translations_(metrics->Intern("hw.translations")),
       id_assoc_hits_(metrics->Intern("hw.assoc_hits")),
       id_assoc_misses_(metrics->Intern("hw.assoc_misses")),
@@ -246,39 +246,37 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   // Fast path: the associative memory.  A hit is served only when the cached
   // SDW bits admit the access and the (live) PTW is plainly resident — any
   // other state falls through to the full walk, so every fault is generated
-  // by exactly the same code whether or not the cache is present.  With the
-  // feature on, a miss pays the two descriptor fetches from core explicitly;
-  // zero entries therefore models the pre-associative hardware where every
-  // reference makes both fetches.
-  if (features_.associative_memory) {
-    const uint64_t key = AssociativeMemory::MakeKey(segno.value, ref_page);
-    if (AssociativeMemory::Entry* entry = assoc_.Lookup(key)) {
-      Ptw* ptw = entry->ptw;
-      const bool permitted = (mode == AccessMode::kRead && entry->read) ||
-                             (mode == AccessMode::kWrite && entry->write) ||
-                             (mode == AccessMode::kExecute && entry->execute);
-      if (permitted && ring <= entry->ring_bracket && !ptw->locked && !ptw->unallocated &&
-          ptw->in_core) {
-        cost_->Charge(CodeStyle::kOptimized, Costs::kAssocSearch);
-        metrics_->Inc(id_assoc_hits_);
-        ptw->used = true;
-        if (mode == AccessMode::kWrite) {
-          ptw->modified = true;
-        }
-        AccessResult result;
-        result.ok = true;
-        result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + offset % kPageWords;
-        result.fault.segno = segno;
-        result.fault.page = ref_page;
-        result.fault.ptw = ptw;
-        return result;
+  // by exactly the same code whether or not the cache is present.  A miss
+  // pays the two descriptor fetches from core explicitly; zero entries
+  // therefore models the pre-associative hardware where every reference
+  // makes both fetches.
+  const uint64_t key = AssociativeMemory::MakeKey(segno.value, ref_page);
+  if (AssociativeMemory::Entry* entry = assoc_.Lookup(key)) {
+    Ptw* ptw = entry->ptw;
+    const bool permitted = (mode == AccessMode::kRead && entry->read) ||
+                           (mode == AccessMode::kWrite && entry->write) ||
+                           (mode == AccessMode::kExecute && entry->execute);
+    if (permitted && ring <= entry->ring_bracket && !ptw->locked && !ptw->unallocated &&
+        ptw->in_core) {
+      cost_->Charge(CodeStyle::kOptimized, Costs::kAssocSearch);
+      metrics_->Inc(id_assoc_hits_);
+      ptw->used = true;
+      if (mode == AccessMode::kWrite) {
+        ptw->modified = true;
       }
-      // The cached pairing no longer resolves cleanly; drop it and re-walk.
-      assoc_.InvalidateEntry(entry);
+      AccessResult result;
+      result.ok = true;
+      result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + offset % kPageWords;
+      result.fault.segno = segno;
+      result.fault.page = ref_page;
+      result.fault.ptw = ptw;
+      return result;
     }
-    metrics_->Inc(id_assoc_misses_);
-    cost_->Charge(CodeStyle::kOptimized, 2 * Costs::kDescriptorFetch);
+    // The cached pairing no longer resolves cleanly; drop it and re-walk.
+    assoc_.InvalidateEntry(entry);
   }
+  metrics_->Inc(id_assoc_misses_);
+  cost_->Charge(CodeStyle::kOptimized, 2 * Costs::kDescriptorFetch);
   cost_->Charge(CodeStyle::kOptimized, Costs::kAddressTranslation);
 
   // Select the address space.  With the second descriptor-base register,
@@ -357,10 +355,7 @@ AccessResult Processor::Access(Segno segno, uint32_t offset, AccessMode mode, ui
   result.ok = true;
   result.abs_addr = static_cast<uint64_t>(ptw->frame) * kPageWords + offset % kPageWords;
   result.fault.kind = FaultKind::kNone;
-  if (features_.associative_memory) {
-    assoc_.Insert(AssociativeMemory::MakeKey(segno.value, ref_page), ptw, sdw->read, sdw->write,
-                  sdw->execute, sdw->ring_bracket);
-  }
+  assoc_.Insert(key, ptw, sdw->read, sdw->write, sdw->execute, sdw->ring_bracket);
   return result;
 }
 

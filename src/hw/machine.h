@@ -104,22 +104,17 @@ struct HwFeatures {
   bool descriptor_lock_bit = false;
   bool quota_exception_bit = false;
   bool second_dsbr = false;
-  // Associative memory: a small set-associative cache of recently resolved
-  // (segno, page) translations, like the 6180's SDW/PTW associative memory.
-  // Modelled as an HwFeatures knob (like the descriptor lock bit) so benches
-  // can ablate it.  When the flag is off, translation keeps the legacy
-  // abstract charge (kAddressTranslation); when on, a miss additionally pays
-  // the two descriptor fetches the cache exists to avoid, and a hit pays
-  // only the associative search.
-  bool associative_memory = false;
-  uint16_t associative_entries = 16;  // total entries; 0 disables the cache
+  // Entries in the associative memory: a small set-associative cache of
+  // recently resolved (segno, page) translations, like the 6180's SDW/PTW
+  // associative memory.  A hit pays only the associative search; a miss
+  // pays the two descriptor fetches the cache exists to avoid on top of the
+  // translation.  0 is the hardware without one: every reference misses.
+  uint16_t associative_entries = 16;
 
-  static HwFeatures Baseline() { return HwFeatures{}; }
+  static HwFeatures Baseline() { return HwFeatures{.associative_entries = 0}; }
   static HwFeatures KernelDesign() {
-    return HwFeatures{.descriptor_lock_bit = true,
-                      .quota_exception_bit = true,
-                      .second_dsbr = true,
-                      .associative_memory = true};
+    return HwFeatures{
+        .descriptor_lock_bit = true, .quota_exception_bit = true, .second_dsbr = true};
   }
 };
 

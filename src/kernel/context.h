@@ -1,11 +1,13 @@
-// Shared substrate bundle for the kernel's object managers.
+// The simulated machine both supervisors run on.
 //
-// Every manager receives a KernelContext*: the simulated clock/cost model,
-// metrics, the deferred-completion event queue, the runtime dependency
-// tracker and the ManagerScope frame stack over it, the eventcount table,
-// the reference monitor, primary memory, the disk volumes, and the service
-// processor.  The context owns no policy; it is the "machine room" the
-// managers are built over.
+// Every kernel manager receives a KernelContext*: the simulated clock/cost
+// model, metrics, the deferred-completion event queue, the runtime
+// dependency tracker and the ManagerScope frame stack over it, the
+// eventcount table, the reference monitor, primary memory, the disk volumes,
+// and the processors.  The 1973 baseline owns one too and leaves the
+// kernel-only parts (events, eventcounts, monitor, processors) idle.  The
+// context owns no policy; it is the "machine room" the managers are built
+// over.
 #ifndef MKS_KERNEL_CONTEXT_H_
 #define MKS_KERNEL_CONTEXT_H_
 
@@ -79,6 +81,18 @@ struct KernelContext {
     window_anchor_global = clock.now();
   }
   Cycles LocalNow() const { return window_anchor_local + (clock.now() - window_anchor_global); }
+
+  // The barrier into a directly driven region: every local clock aligned
+  // and advanced to the global clock, so release points recorded by
+  // unwindowed work (boot, setup) never read as contention against the
+  // region's windows.  Returns the makespan the region starts from.
+  Cycles AlignToClock() {
+    smp.AlignAll();
+    if (clock.now() > smp.Makespan()) {
+      smp.AdvanceAll(clock.now() - smp.Makespan());
+    }
+    return smp.Makespan();
+  }
 };
 
 // One window of work on one simulated CPU — the only way work is put on a

@@ -31,6 +31,22 @@ SegmentUid DirectoryManager::NewUid() {
   return uid;
 }
 
+Result<DirectoryManager::Located> DirectoryManager::Locate(SegmentUid uid) {
+  auto ref = parent_of_.find(uid);
+  if (ref == parent_of_.end()) {
+    return Status(Code::kNotFound, "no directory entry");
+  }
+  auto dir = dirs_.find(ref->second.dir);
+  if (dir == dirs_.end()) {
+    return Status(Code::kInternal, "entry with no containing directory");
+  }
+  auto entry = dir->second.entries.find(ref->second.name);
+  if (entry == dir->second.entries.end() || entry->second.uid != uid) {
+    return Status(Code::kInternal, "entry index out of step with directory");
+  }
+  return Located{&dir->second, &entry->second};
+}
+
 EntryId DirectoryManager::MythicalId(EntryId dir, std::string_view name) const {
   uint64_t h = Fnv1a64Mix(ctx_->secret, dir.value);
   h = Fnv1a64(name, h);
@@ -173,7 +189,7 @@ Status DirectoryManager::CreateEntryCommon(const Subject& subject, EntryId dir_i
   entry.acl = std::move(acl);
   entry.label = label;
   auto [it, inserted] = dir->entries.emplace(std::move(name), std::move(entry));
-  parent_of_[uid] = dir->uid;
+  parent_of_[uid] = EntryRef{dir->uid, it->first};
   Status grown = AccountDirectoryGrowth(*dir);
   if (!grown.ok()) {
     ctx_->volumes.pack(pack)->FreeVtoc(vtoc);
@@ -304,6 +320,7 @@ Status DirectoryManager::RenameEntry(const Subject& subject, EntryId dir_id,
   DirEntryRec entry = std::move(it->second);
   dir->entries.erase(it);
   entry.name = new_name;
+  parent_of_[entry.uid].name = new_name;
   if (entry.is_directory) {
     auto child = dirs_.find(entry.uid);
     if (child != dirs_.end()) {
@@ -450,28 +467,15 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
   ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   ctx_->cost.Charge(CodeStyle::kStructured, Costs::kProcedureCall * 2);
-  const SegmentUid uid(target.value);
-  auto parent_it = parent_of_.find(uid);
-  if (parent_it == parent_of_.end()) {
+  Result<Located> located = Locate(SegmentUid(target.value));
+  if (located.code() == Code::kNotFound) {
     // Mythical, stale, or the root itself: "no access", indistinguishable
     // from a real object the subject cannot touch.
     ctx_->monitor.Audit(subject, "initiate", {"?"}, Code::kNoAccess);
     return Status(Code::kNoAccess, "initiate");
   }
-  auto dir_it = dirs_.find(parent_it->second);
-  if (dir_it == dirs_.end()) {
-    return Status(Code::kInternal, "entry with no containing directory");
-  }
-  const DirEntryRec* entry = nullptr;
-  for (const auto& [name, rec] : dir_it->second.entries) {
-    if (rec.uid == uid) {
-      entry = &rec;
-      break;
-    }
-  }
-  if (entry == nullptr) {
-    return Status(Code::kInternal, "parent index out of step with directory");
-  }
+  MKS_RETURN_IF_ERROR(located.status());
+  const DirEntryRec* entry = located->entry;
   // Effective modes: the ACL masked by the mandatory properties.  Access is
   // determined entirely by the object's own ACL and label.
   AccessModes modes = entry->acl.ModesFor(subject.principal);
@@ -489,7 +493,7 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
   ctx_->monitor.Audit(subject, "initiate", {entry->name}, Code::kOk);
 
   // The static quota binding handed downward at initiation.
-  const DirectoryRec& dir = dir_it->second;
+  const DirectoryRec& dir = *located->dir;
   const SegmentUid governing = dir.quota_designated ? dir.uid : dir.governing_dir;
   auto gov_it = dirs_.find(governing);
   if (gov_it == dirs_.end()) {
@@ -505,13 +509,14 @@ Result<EntryInfo> DirectoryManager::ResolveForInitiate(const Subject& subject, E
   return info;
 }
 
-void DirectoryManager::AuditQuotaIntegrity(std::vector<std::string>* findings) {
+void DirectoryManager::AuditIntegrity(std::vector<std::string>* findings) {
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kRead, rmi_);
   // Recompute, from the packs' tables of contents, the records actually used
   // by every object each quota cell governs, and compare with the cached
   // counts.  Storage charged but not used (or used but not charged) is
   // exactly the kind of books-out-of-balance defect an auditor hunts.
   std::unordered_map<SegmentUid, uint64_t> expected;  // quota dir uid -> records
+  size_t indexed = 0;
   auto governing_of = [&](const DirectoryRec& dir) {
     return dir.quota_designated ? dir.uid : dir.governing_dir;
   };
@@ -523,8 +528,14 @@ void DirectoryManager::AuditQuotaIntegrity(std::vector<std::string>* findings) {
     } else {
       findings->push_back("directory " + dir.name + " lost its VTOC entry");
     }
-    // Its non-directory entries (child directories account for themselves).
+    // Its entries, each indexed under this directory and name; non-directory
+    // entries charge the books (child directories account for themselves).
     for (const auto& [name, rec] : dir.entries) {
+      auto ref = parent_of_.find(rec.uid);
+      if (ref == parent_of_.end() || ref->second.dir != uid || ref->second.name != name) {
+        findings->push_back("entry " + name + " is not indexed under its directory");
+      }
+      ++indexed;
       if (rec.is_directory) {
         continue;
       }
@@ -535,6 +546,10 @@ void DirectoryManager::AuditQuotaIntegrity(std::vector<std::string>* findings) {
       }
       expected[governing_of(dir)] += entry->RecordsUsed();
     }
+  }
+  if (indexed != parent_of_.size()) {
+    findings->push_back("entry index holds " + std::to_string(parent_of_.size()) +
+                        " objects but the directories " + std::to_string(indexed));
   }
   for (const auto& [quota_dir_uid, records] : expected) {
     auto it = dirs_.find(quota_dir_uid);
@@ -561,23 +576,11 @@ Status DirectoryManager::CompleteSegmentMove(SegmentUid uid, PackId new_pack,
                                              VtocIndex new_vtoc) {
   ManagerScope scope(&ctx_->scopes, self_);
   SharedSection section(&rml_, ctx_, SharedSection::Kind::kWrite, rmi_);
-  auto parent_it = parent_of_.find(uid);
-  if (parent_it == parent_of_.end()) {
-    return Status(Code::kNotFound, "moved segment has no directory entry");
-  }
-  auto dir_it = dirs_.find(parent_it->second);
-  if (dir_it == dirs_.end()) {
-    return Status(Code::kInternal, "entry with no containing directory");
-  }
-  for (auto& [name, rec] : dir_it->second.entries) {
-    if (rec.uid == uid) {
-      rec.pack = new_pack;
-      rec.vtoc = new_vtoc;
-      ctx_->metrics.Inc(id_moves_completed_);
-      return Status::Ok();
-    }
-  }
-  return Status(Code::kInternal, "parent index out of step with directory");
+  MKS_ASSIGN_OR_RETURN(Located located, Locate(uid));
+  located.entry->pack = new_pack;
+  located.entry->vtoc = new_vtoc;
+  ctx_->metrics.Inc(id_moves_completed_);
+  return Status::Ok();
 }
 
 }  // namespace mks

@@ -66,7 +66,7 @@ struct EntryInfo {
 // refactor):
 //
 //   reads  — Search, ListNames, GetQuota, ResolveForInitiate,
-//            AuditQuotaIntegrity: walks and status observations.
+//            AuditIntegrity: walks and status observations.
 //   writes — InitRoot, CreateSegmentEntry, CreateDirectoryEntry, DeleteEntry,
 //            RenameEntry, SetAcl, SetQuota, RemoveQuota, CompleteSegmentMove:
 //            they mutate entries, ACLs, or the quota designation.
@@ -126,13 +126,19 @@ class DirectoryManager {
   // --- the upward signal terminal ---
   Status CompleteSegmentMove(SegmentUid uid, PackId new_pack, VtocIndex new_vtoc);
 
-  // Integrity audit of the resource-control books: for every quota cell,
-  // the cached count must equal the disk records actually used by the
-  // objects the cell governs (entries' segments plus governed directories'
-  // own backing storage).
-  void AuditQuotaIntegrity(std::vector<std::string>* findings);
+  // Integrity audit of the resource-control books and the entry index: for
+  // every quota cell, the cached count must equal the disk records actually
+  // used by the objects the cell governs (entries' segments plus governed
+  // directories' own backing storage); every entry must be indexed under
+  // its directory and name, and the index must hold nothing else.
+  void AuditIntegrity(std::vector<std::string>* findings);
 
  private:
+  // Where an object's entry lives: its directory and its name there.
+  struct EntryRef {
+    SegmentUid dir{};
+    std::string name;
+  };
   struct DirectoryRec {
     SegmentUid uid{};
     SegmentUid parent{};  // root: itself
@@ -146,10 +152,18 @@ class DirectoryManager {
     std::map<std::string, DirEntryRec> entries;
     uint32_t pages = 1;  // backing segment length
   };
+  struct Located {
+    DirectoryRec* dir;
+    DirEntryRec* entry;
+  };
 
   SegmentUid NewUid();
   EntryId MythicalId(EntryId dir, std::string_view name) const;
   DirectoryRec* FindDir(EntryId id);
+  // The entry of object `uid` and its directory, through parent_of_:
+  // kNotFound when the uid has none (mythical, stale, or the root),
+  // kInternal when the index is out of step with the directory.
+  Result<Located> Locate(SegmentUid uid);
   // Status (observe) permission on a directory: ACL read + simple security.
   bool CanObserveDir(const Subject& subject, const DirectoryRec& dir) const;
   // Modify permission: ACL write + the *-property.
@@ -182,8 +196,8 @@ class DirectoryManager {
   SegmentUid root_{};
   uint64_t uid_counter_ = 1;
   std::unordered_map<SegmentUid, DirectoryRec> dirs_;
-  // Object uid -> containing directory uid (for resolve-by-uid and moves).
-  std::unordered_map<SegmentUid, SegmentUid> parent_of_;
+  // Object uid -> its entry (for resolve-by-uid and moves).
+  std::unordered_map<SegmentUid, EntryRef> parent_of_;
 };
 
 }  // namespace mks

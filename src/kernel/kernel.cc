@@ -2,6 +2,11 @@
 
 namespace mks {
 
+namespace {
+constexpr uint32_t kQuotaCellSlots = 64;  // the quota-cell cache
+constexpr uint64_t kRootQuota = 1u << 20;
+}  // namespace
+
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
       ctx_(std::make_unique<KernelContext>(config.memory_frames, config.features,
@@ -58,7 +63,7 @@ Status Kernel::Boot() {
     ctx_->volumes.AddPack(config_.records_per_pack, config_.vtoc_slots_per_pack);
   }
   // Stage 3: resource-control and paging substrate.
-  MKS_RETURN_IF_ERROR(quota_->Init(config_.quota_cell_slots));
+  MKS_RETURN_IF_ERROR(quota_->Init(kQuotaCellSlots));
   MKS_RETURN_IF_ERROR(segs_->Init(config_.ast_slots));
   MKS_RETURN_IF_ERROR(spaces_->Init(config_.user_sdw_count));
   // Stage 4: the user process layer's real-memory queue (a core segment).
@@ -84,7 +89,7 @@ Status Kernel::Boot() {
             .status());
   }
   // Stage 7: the naming hierarchy.
-  MKS_RETURN_IF_ERROR(dirs_->InitRoot(config_.root_label, config_.root_acl, config_.root_quota));
+  MKS_RETURN_IF_ERROR(dirs_->InitRoot(Label::SystemLow(), config_.root_acl, kRootQuota));
   booted_ = true;
   return Status::Ok();
 }
@@ -130,7 +135,7 @@ Status Kernel::Shutdown() {
       MKS_RETURN_IF_ERROR(segs_->Deactivate(slot));
     }
   }
-  for (uint32_t cell = 0; cell < config_.quota_cell_slots; ++cell) {
+  for (uint32_t cell = 0; cell < kQuotaCellSlots; ++cell) {
     Status flushed = quota_->FlushCell(QuotaCellId(cell));
     if (!flushed.ok() && flushed.code() != Code::kInvalidArgument) {
       return flushed;
@@ -146,7 +151,7 @@ std::vector<std::string> Kernel::AuditIntegrity() {
   pfm_->AuditIntegrity(&findings);
   spaces_->AuditIntegrity(&findings);
   ksm_->AuditIntegrity(&findings);
-  dirs_->AuditQuotaIntegrity(&findings);
+  dirs_->AuditIntegrity(&findings);
   return findings;
 }
 

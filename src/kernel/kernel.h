@@ -23,7 +23,6 @@ struct KernelConfig {
   uint16_t vp_count = 8;
   uint16_t user_sdw_count = 128;
   uint32_t ast_slots = 64;
-  uint32_t quota_cell_slots = 64;
   // Disk shape.
   uint16_t pack_count = 2;
   uint32_t records_per_pack = 4096;
@@ -87,8 +86,6 @@ struct KernelConfig {
   // skipping the rebuild-from-scratch chain; false tears every process
   // down.  Shutdown drains parked slots, so the on-disk image leaks nothing.
   bool slab_processes = true;
-  uint64_t root_quota = 1u << 20;
-  Label root_label = Label::SystemLow();
   // Default: world-usable root, so examples/tests can build a hierarchy.
   // A hardened installation narrows this (see examples/secure_file_service).
   Acl root_acl = [] {

@@ -306,16 +306,15 @@ void UserProcessManager::TouchReadyList(uint16_t cpu, Cycles lnow) {
   // the dispatch decision and queue manipulation (kDispatchHold), which is
   // what serializes dispatch-rate-bound workloads.
   constexpr Cycles kDispatchHold = 440;  // ~ (kVpSwitch + kProcessSwitch) structured
-  const LockedLine::Touch t =
-      ready_list_.Acquire(cpu, lnow, connect_cost_, ctx_->cost, &ctx_->scopes);
-  if (t.spin > 0) {
-    ctx_->metrics.Inc(id_list_lock_spin_cycles_, t.spin);
+  SpinSection section(ready_list_, connect_cost_, cpu, lnow, ctx_->cost, &ctx_->scopes);
+  if (section.spin() > 0) {
+    ctx_->metrics.Inc(id_list_lock_spin_cycles_, section.spin());
   }
-  if (t.transfer > 0) {
+  if (section.transfer() > 0) {
     ctx_->metrics.Inc(id_list_transfers_);
-    ctx_->metrics.Inc(id_list_transfer_cycles_, t.transfer);
+    ctx_->metrics.Inc(id_list_transfer_cycles_, section.transfer());
   }
-  ready_list_.lock.Release(lnow + t.held() + kDispatchHold);
+  section.Release(kDispatchHold);
 }
 
 void UserProcessManager::EnqueueReady(Process& proc, uint16_t from_cpu, Cycles lnow) {

@@ -152,42 +152,6 @@ class CpuInterleave {
   Cycles max_local_ = 0;  // running maximum of the stored locals
 };
 
-// One shared cache line under one SimSpinLock: the global ready list, or a
-// run-queue shard.  Acquire takes the lock from `cpu` at local time `lnow`
-// and charges the wait through ChargeLockWait; when the line last lived on
-// another CPU it also charges one `connect_cost` transfer as lock-handoff.
-// The caller releases `lock` at `lnow + held()` plus its own hold time.
-struct LockedLine {
-  static constexpr uint16_t kNoCpu = UINT16_MAX;
-
-  struct Touch {
-    Cycles spin = 0;      // lock wait: the gap plus the grant's traffic
-    Cycles transfer = 0;  // line bounce: 0 or connect_cost
-    Cycles held() const { return spin + transfer; }
-  };
-
-  // With `spin_event` set, a contended wait is also recorded as a span
-  // (proc = cpu).
-  Touch Acquire(uint16_t cpu, Cycles lnow, Cycles connect_cost, CostModel& cost,
-                ScopeStack* scopes, TraceEventId spin_event = kNoTraceEvent) {
-    Touch t;
-    t.spin = lock.Acquire(lnow, cpu);
-    if (t.spin > 0) {
-      ChargeLockWait(cost, scopes, t.spin, lock.last_acquire_handoff(),
-                     TraceSpan{.event = spin_event, .proc = cpu});
-    }
-    if (connect_cost > 0 && owner != cpu && owner != kNoCpu) {
-      ChargeLockWait(cost, scopes, connect_cost, connect_cost);
-      t.transfer = connect_cost;
-    }
-    owner = cpu;
-    return t;
-  }
-
-  SimSpinLock lock;
-  uint16_t owner = kNoCpu;  // CPU that last touched the line
-};
-
 // Sharded per-CPU run queues with deterministic work stealing.
 //
 // Each CPU owns one FIFO of dispatchable item ids, guarded by its own
@@ -295,11 +259,10 @@ class RunQueueSet {
       home = hint_cpu;
     }
     Shard& s = shards_[home];
-    const Cycles held = TouchShard(s, from_cpu, lnow);
+    const SpinSection section = TouchShard(s, from_cpu, lnow);
     s.items.push_back(Item{id, mask});
     metrics_->Inc(s.id_pushes);
     metrics_->Observe(s.hist_depth, s.items.size());
-    s.line.lock.Release(lnow + held);
   }
 
   // Takes the front of `cpu`'s own queue; when empty and stealing is on,
@@ -308,14 +271,13 @@ class RunQueueSet {
     Popped out;
     Shard& own = shards_[cpu];
     if (!own.items.empty()) {
-      const Cycles held = TouchShard(own, cpu, lnow);
+      const SpinSection section = TouchShard(own, cpu, lnow);
       out.ok = true;
       out.id = own.items.front().id;
       out.mask = own.items.front().mask;
       out.victim = cpu;
       own.items.pop_front();
       metrics_->Inc(own.id_pops);
-      own.line.lock.Release(lnow + held);
       return out;
     }
     if (!steal_) {
@@ -329,7 +291,7 @@ class RunQueueSet {
         continue;
       }
       ManagerScope steal_span(scopes_, TraceSpan{.event = ev_steal_, .arg = v, .on_end = true});
-      Cycles held = TouchShard(victim, cpu, lnow);
+      const SpinSection section = TouchShard(victim, cpu, lnow);
       bool found = false;
       for (auto it = victim.items.begin(); it != victim.items.end(); ++it) {
         if (!Allowed(it->mask, cpu)) {
@@ -349,17 +311,14 @@ class RunQueueSet {
         // on top of the queue-line bounce TouchShard already charged.
         if (connect_cost_ > 0) {
           cost_->Charge(CodeStyle::kOptimized, connect_cost_);
-          held += connect_cost_;
         }
         metrics_->Inc(id_steals_);
-        metrics_->Inc(id_steal_cycles_, held);
+        metrics_->Inc(id_steal_cycles_, section.charged());
         metrics_->Inc(victim.id_pops);
-        victim.line.lock.Release(lnow + held);
         steal_span.set_span_proc(out.id);
         steal_span.EndSpan();
         return out;
       }
-      victim.line.lock.Release(lnow + held);  // nothing affinity-compatible here
     }
     return out;
   }
@@ -398,22 +357,21 @@ class RunQueueSet {
     HistId hist_depth = 0;
   };
 
-  // Acquires a shard's lock from `from_cpu` at local time `lnow` and counts
-  // the charges.  Returns the cycles charged so far under the lock; the
-  // caller must Release at `lnow + held`.
-  Cycles TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
-    const LockedLine::Touch t =
-        s.line.Acquire(from_cpu, lnow, connect_cost_, *cost_, scopes_, ev_lock_spin_);
-    if (t.spin > 0) {
+  // Opens a tenure of a shard's line from `from_cpu` at local time `lnow`
+  // and counts its charges; a contended wait is also a span (proc = cpu).
+  SpinSection TouchShard(Shard& s, uint16_t from_cpu, Cycles lnow) {
+    SpinSection section(s.line, connect_cost_, from_cpu, lnow, *cost_, scopes_,
+                        TraceSpan{.event = ev_lock_spin_, .proc = from_cpu});
+    if (section.spin() > 0) {
       metrics_->Inc(id_lock_spins_);
-      metrics_->Inc(id_lock_spin_cycles_, t.spin);
-      metrics_->Inc(s.id_lock_spin_cycles, t.spin);
+      metrics_->Inc(id_lock_spin_cycles_, section.spin());
+      metrics_->Inc(s.id_lock_spin_cycles, section.spin());
     }
-    if (t.transfer > 0) {
+    if (section.transfer() > 0) {
       metrics_->Inc(id_transfers_);
-      metrics_->Inc(id_transfer_cycles_, t.transfer);
+      metrics_->Inc(id_transfer_cycles_, section.transfer());
     }
-    return t.held();
+    return section;
   }
 
   bool steal_;

@@ -14,12 +14,14 @@
 #define MKS_SIM_SCOPE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "src/deps/tracker.h"
 #include "src/sim/prof.h"
 #include "src/sim/trace.h"
+#include "src/sync/spinlock.h"
 
 namespace mks {
 
@@ -35,9 +37,8 @@ struct TraceSpan {
   bool on_end = false;
 };
 
-// The profiler and tracer may be null (the baseline supervisor has no
-// profiler); the tracker only where no module is registered or entered
-// (sim-layer rigs with just a tracer).
+// The profiler and tracer may be null (sim-layer rigs); the tracker only
+// where no module is registered or entered (rigs with just a tracer).
 class ScopeStack {
  public:
   ScopeStack(CallTracker* tracker, Prof* prof, Tracer* trace)
@@ -143,6 +144,78 @@ inline void ChargeLockWait(CostModel& cost, ScopeStack* scopes, Cycles spin, Cyc
     cost.Charge(CodeStyle::kOptimized, handoff);
   }
 }
+
+// One shared cache line under one SimSpinLock (the global ready list, a
+// run-queue shard) and the CPU that last touched it.
+struct LockedLine {
+  static constexpr uint16_t kNoCpu = UINT16_MAX;
+  SimSpinLock lock;
+  uint16_t owner = kNoCpu;
+};
+
+// One tenure of a SimSpinLock in virtual time; every lock site takes its
+// lock through one.  Opening it acquires the lock from `cpu` at local time
+// `lnow` and charges any wait through ChargeLockWait (recorded as `span`).
+// Opened on a LockedLine, a touch from a CPU other than the line's last
+// owner also charges one `transfer_cost` line transfer as lock-handoff.
+// Release() frees the lock at `lnow` plus every cycle charged since the
+// acquire, the wait included, plus `hold`: tenure the caller models without
+// charging it.  It is idempotent; scope end releases with no hold.  A null
+// lock makes the section inert.
+class SpinSection {
+ public:
+  SpinSection(SimSpinLock* lock, uint16_t cpu, Cycles lnow, CostModel& cost, ScopeStack* scopes,
+              TraceSpan span = {})
+      : lock_(lock), clock_(cost.clock()), lnow_(lnow), start_(clock_->now()) {
+    if (lock_ == nullptr) {
+      return;
+    }
+    spin_ = lock_->Acquire(lnow, cpu);
+    if (spin_ > 0) {
+      ChargeLockWait(cost, scopes, spin_, lock_->last_acquire_handoff(), span);
+    }
+  }
+  SpinSection(LockedLine& line, Cycles transfer_cost, uint16_t cpu, Cycles lnow, CostModel& cost,
+              ScopeStack* scopes, TraceSpan span = {})
+      : SpinSection(&line.lock, cpu, lnow, cost, scopes, span) {
+    if (transfer_cost > 0 && line.owner != cpu && line.owner != LockedLine::kNoCpu) {
+      ChargeLockWait(cost, scopes, transfer_cost, transfer_cost);
+      transfer_ = transfer_cost;
+    }
+    line.owner = cpu;
+  }
+  SpinSection(SpinSection&& other) noexcept
+      : lock_(other.lock_), clock_(other.clock_), lnow_(other.lnow_), start_(other.start_),
+        spin_(other.spin_), transfer_(other.transfer_) {
+    other.lock_ = nullptr;
+  }
+  SpinSection(const SpinSection&) = delete;
+  SpinSection& operator=(const SpinSection&) = delete;
+  SpinSection& operator=(SpinSection&&) = delete;
+  ~SpinSection() { Release(); }
+
+  // The wait: the gap to the holder's release plus the grant's traffic.
+  Cycles spin() const { return spin_; }
+  // The line bounce: 0 or transfer_cost.
+  Cycles transfer() const { return transfer_; }
+  // Cycles charged since the acquire, the wait included.
+  Cycles charged() const { return clock_->now() - start_; }
+
+  void Release(Cycles hold = 0) {
+    if (lock_ != nullptr) {
+      lock_->Release(lnow_ + charged() + hold);
+      lock_ = nullptr;
+    }
+  }
+
+ private:
+  SimSpinLock* lock_;
+  const Clock* clock_;
+  Cycles lnow_;
+  Cycles start_;
+  Cycles spin_ = 0;
+  Cycles transfer_ = 0;
+};
 
 }  // namespace mks
 

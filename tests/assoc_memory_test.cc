@@ -299,9 +299,7 @@ struct AssocRig {
   Processor processor;
 
   AssocRig()
-      : processor(HwFeatures{.second_dsbr = true,
-                             .associative_memory = true,
-                             .associative_entries = 16},
+      : processor(HwFeatures{.second_dsbr = true, .associative_entries = 16},
                   &cost, &metrics) {
     pt.ptws.assign(8, Ptw{});
     ds.sdws.assign(4, Sdw{});
@@ -446,7 +444,7 @@ TEST(AssocProperty, CacheOnAndOffAgreeOnEverythingButCost) {
   KernelConfig on_config;
   on_config.memory_frames = 72;  // < data pages + resident core segments
   KernelConfig off_config = on_config;
-  off_config.features.associative_memory = false;
+  off_config.features.associative_entries = 0;
 
   KernelFixture on(on_config);
   KernelFixture off(off_config);

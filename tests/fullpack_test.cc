@@ -100,6 +100,64 @@ TEST(FullPack, OtherProcessReconnectsThroughSegmentFault) {
   EXPECT_GT(fx.kernel.metrics().Get("ksm.segment_faults"), 0u);
 }
 
+// Initiation and the move's directory rewrite find an entry through the
+// uid index, not by scanning the directory; renames must keep it in step.
+TEST(FullPack, EntryIndexFollowsRenamesInALargeDirectory) {
+  KernelConfig config = TinyPacks();
+  config.records_per_pack = 40;
+  config.vtoc_slots_per_pack = 64;
+  KernelFixture fx{config};
+  ASSERT_TRUE(fx.boot_status.ok());
+  KernelGates& gates = fx.kernel.gates();
+  auto dir = gates.CreateDirectory(*fx.ctx, gates.RootId(), "many", WorldAcl(),
+                                   Label::SystemLow());
+  ASSERT_TRUE(dir.ok());
+  for (uint32_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(gates.CreateSegment(*fx.ctx, *dir, "f" + std::to_string(i), WorldAcl(),
+                                    Label::SystemLow())
+                    .ok());
+  }
+  auto a = gates.CreateSegment(*fx.ctx, *dir, "a", WorldAcl(), Label::SystemLow());
+  auto b = gates.CreateSegment(*fx.ctx, *dir, "b", WorldAcl(), Label::SystemLow());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(gates.Rename(*fx.ctx, *dir, "a", "zz-a").ok());
+  ASSERT_TRUE(gates.Rename(*fx.ctx, *dir, "f7", "a").ok());  // the old name, reused
+  auto sa = gates.Initiate(*fx.ctx, *a);
+  auto sb = gates.Initiate(*fx.ctx, *b);
+  ASSERT_TRUE(sa.ok()) << sa.status();
+  ASSERT_TRUE(sb.ok()) << sb.status();
+
+  Status st = Status::Ok();
+  uint32_t grown = 0;
+  for (uint32_t p = 0; p < 32 && st.ok() &&
+                       fx.kernel.metrics().Get("dir.moves_completed") == 0;
+       ++p) {
+    st = gates.Write(*fx.ctx, *sa, p * kPageWords, p + 1);
+    if (st.ok()) {
+      st = gates.Write(*fx.ctx, *sb, p * kPageWords, p + 101);
+      ++grown;
+    }
+  }
+  ASSERT_TRUE(st.ok()) << st;
+  ASSERT_GT(fx.kernel.metrics().Get("dir.moves_completed"), 0u);
+  EXPECT_TRUE(fx.kernel.AuditIntegrity().empty());
+
+  // The renamed entry still names the moved object; a fresh initiation of
+  // it reads what was written before and after the move.
+  auto found = gates.Search(*fx.ctx, *dir, "zz-a");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, *a);
+  ASSERT_TRUE(gates.Terminate(*fx.ctx, *sa).ok());
+  auto again = gates.Initiate(*fx.ctx, *a);
+  ASSERT_TRUE(again.ok()) << again.status();
+  for (uint32_t p = 0; p < grown; ++p) {
+    auto va = gates.Read(*fx.ctx, *again, p * kPageWords);
+    ASSERT_TRUE(va.ok()) << p << ": " << va.status();
+    EXPECT_EQ(*va, p + 1);
+  }
+}
+
 TEST(FullPack, WhenNoTargetPackExistsGrowthFails) {
   KernelConfig config = TinyPacks();
   config.pack_count = 1;  // nowhere to move to

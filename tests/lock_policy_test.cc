@@ -314,7 +314,6 @@ TEST(LockPolicyBaseline, GlobalLockChargesPerPolicyAndStaysDeterministic) {
       }
       (void)sup.SetProgram(*pid, std::move(program));
     }
-    sup.AlignCpus();
     if (!sup.RunUntilQuiescent(100000).ok()) {
       return out;
     }

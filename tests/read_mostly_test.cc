@@ -252,7 +252,7 @@ StormOut RunRelocationStorm(ReadPolicy policy, uint16_t cpus, uint32_t ops) {
   const PackId home_pack = probe->home.pack;
   const VtocIndex home_vtoc = probe->home.vtoc;
 
-  workload::AlignToClock(kernel);
+  kernel.ctx().AlignToClock();
   const EntryId root = kernel.gates().RootId();
   for (uint32_t i = 0; i < ops; ++i) {
     const uint16_t cpu = kctx.smp.NextCpu();

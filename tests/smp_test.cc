@@ -178,9 +178,7 @@ struct PoolRig {
 
   explicit PoolRig(uint16_t cpus)
       : pool(cpus,
-             HwFeatures{.second_dsbr = true,
-                        .associative_memory = true,
-                        .associative_entries = 16},
+             HwFeatures{.second_dsbr = true, .associative_entries = 16},
              &cost, &metrics) {
     pt.ptws.assign(8, Ptw{});
     ds.sdws.assign(4, Sdw{});
