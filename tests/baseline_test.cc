@@ -2,6 +2,7 @@
 // dependency-loop structure of Figures 2 and 3.
 #include <gtest/gtest.h>
 
+#include "bench/workload.h"
 #include "src/baseline/supervisor.h"
 
 namespace mks {
@@ -91,6 +92,31 @@ TEST(Baseline, HierarchyConstrainsDeactivation) {
     ASSERT_TRUE(sup.Write(uid, 0, 9).ok());
   }
   EXPECT_GT(sup.metrics().Get("baseline.deactivation_blocked_by_hierarchy"), 0u);
+}
+
+// Each quantum's cycles are accrued before the next CPU is picked, so with
+// equal work the CPU that just ran is ahead of the idle one and quanta
+// alternate: three per CPU, and the makespan near half the serialized work.
+TEST(Baseline, QuantaAlternateBetweenTwoCpusWithEqualWork) {
+  BaselineConfig config;
+  config.cpu_count = 2;
+  MonolithicSupervisor sup{config};
+  ASSERT_TRUE(sup.Boot().ok());
+  for (int i = 0; i < 2; ++i) {
+    auto pid = sup.CreateProcess();
+    ASSERT_TRUE(pid.ok());
+    std::vector<MonolithicSupervisor::BaselineOp> program(48);
+    for (MonolithicSupervisor::BaselineOp& op : program) {
+      op.compute = 1000;
+    }
+    ASSERT_TRUE(sup.SetProgram(*pid, std::move(program)).ok());
+  }
+  const workload::Region region = workload::Measure(sup, 100);
+  ASSERT_TRUE(region.ok);
+  EXPECT_EQ(sup.metrics().Get("smp.cpu0.quanta"), 3u);
+  EXPECT_EQ(sup.metrics().Get("smp.cpu1.quanta"), 3u);
+  EXPECT_LT(region.makespan * 100, region.total * 55)
+      << region.makespan << " of " << region.total;
 }
 
 TEST(Baseline, ProcessesRunToCompletion) {
